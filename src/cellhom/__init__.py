@@ -54,6 +54,7 @@ from .integrand import (
 )
 from .solvers import (
     CellResult,
+    SolverBreakdown,
     SolverOptions,
     minimize_u_given_v,
     minimize_v_given_u,

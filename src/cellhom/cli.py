@@ -11,7 +11,8 @@ and writes deterministic artifacts into the output directory:
 * ``manifest``  key=value record of the config hash, seeds and versions.
 
 Exit status: 0 when all scheduled checks pass and all solves converged,
-2 when a check fails or a solve is unconverged, 1 on operational errors.
+2 when a check fails, a solve is unconverged or a linear solve broke
+down (no artifacts are written then), 1 on operational errors.
 Identical (config, seeds) produce byte-identical CSV artifacts.
 """
 
@@ -37,7 +38,7 @@ from .homogenise import (
     subadditive_process_eval,
 )
 from .integrand import InputDomainError, RandomIntegrandModel, resolve
-from .solvers import SolverOptions
+from .solvers import SolverBreakdown, SolverOptions
 from .verify import run_suite
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -429,6 +430,9 @@ def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
     except OSError as exc:
         print(f"cellhom: I/O failure: {exc}", file=sys.stderr)
         return 1
+    except SolverBreakdown as exc:
+        print(f"cellhom: {exc}", file=sys.stderr)
+        return 2
 
     # artifacts
     results_lines = [RESULTS_HEADER]

@@ -18,9 +18,10 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .integrand import InputDomainError, Integrand
 
@@ -222,6 +223,122 @@ class CellDomain:
             ids.setflags(write=False)
             shifts.append(ids)
         return pbase, tuple(shifts)
+
+    @cached_property
+    def free_operator(self):
+        """Free-node layout of the Dirichlet problems on this grid.
+
+        The layout depends on ``dims`` alone, so cells of equal dims share
+        one operator (an ensemble of cells holds one, not one per cell).
+        """
+        return _free_operator(self.dims)
+
+
+@lru_cache(maxsize=8)
+def _free_operator(dims):
+    # built on an unrotated grid of the same dims; the bound keeps the
+    # layouts of an r-schedule and drops older ones
+    n = len(dims)
+    grid = CellDomain(
+        center=np.zeros(n), rotation=rotation_for_normal(np.eye(n)[-1]), h=1.0, lo=np.zeros(n), dims=dims
+    )
+    return FreeNodeOperator(grid)
+
+
+class FreeNodeOperator:
+    """Free-node layout shared by the u-step and the v-step on one grid.
+
+    Both steps minimise quadratic forms in the nodal values x built from
+    per-cell weights through two couplings: the forward-difference
+    stencil, sum_c w_c sum_a (x_{q_a(c)} - x_{p(c)})^2, and the corner
+    mass, sum_c m_c (sum of the 2^n corner values of c)^2.  Boundary
+    nodes are fixed, so only the free-free block is factorised and the
+    free-fixed block moves to the right-hand side.
+
+    Free nodes are numbered in the grid's C order, so the free-free block
+    is a band: its half-width ``bw`` is 1 in 1D and dims[-1] in 2D, where
+    the diagonal corner couplings reach one past the interior count of
+    the last axis.  For n <= 2 its storage is the LAPACK upper band of
+    shape (bw + 1, nfree), flattened; for n >= 3, where the band is about
+    d^2 wide, it is the data array of a fixed CSC pattern (``indices``,
+    ``indptr``) holding both triangles.  ``scatter[term] @ w`` gives that
+    storage for cell weights w, ``diag`` the storage slots of the
+    diagonal, and ``free_fixed[term]`` lists the couplings from a free to
+    a fixed node.  An operator is shared by every cell of its dims, so
+    nothing in it may be written to.
+    """
+
+    def __init__(self, cell: CellDomain):
+        bflat = cell.boundary_mask.reshape(-1)
+        self.free = np.flatnonzero(~bflat)
+        nfree = self.nfree = self.free.size
+        pos = np.full(cell.num_nodes, -1)
+        pos[self.free] = np.arange(nfree)
+
+        pbase, pshift = cell.cell_edge_nodes
+        stencil = []
+        for q in pshift:
+            stencil += [(pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0)]
+        corners = cell.cell_corner_nodes
+        terms = {
+            "stencil": _coupling_entries(stencil, pos, cell.num_cells),
+            "mass": _coupling_entries([(p, q, 1.0) for p in corners for q in corners], pos, cell.num_cells),
+        }
+
+        # every stencil pair is also a corner pair, so the mass term's
+        # free-free entries fix the band width and the sparse pattern
+        _, i, j, _, _ = terms["mass"]
+        inner = (i >= 0) & (j >= 0)
+        self.banded = cell.n <= 2
+        if self.banded:
+            self.bw = int(np.max(np.abs(i[inner] - j[inner]), initial=0))
+            nslots = (self.bw + 1) * nfree
+            self.diag = self.bw * nfree + np.arange(nfree)
+            self.indices = self.indptr = None
+        else:
+            # column-major keys j*nfree + i are the CSC order
+            keys = np.unique(j[inner] * nfree + i[inner])
+            nslots = keys.size
+            self.indices = keys % nfree
+            self.indptr = np.searchsorted(keys, np.arange(nfree + 1) * nfree)
+            self.diag = np.searchsorted(keys, np.arange(nfree) * (nfree + 1))
+
+        self.scatter = {}
+        self.free_fixed = {}
+        for t, (c, i, j, node, s) in terms.items():
+            sel = (i >= 0) & (j >= 0)
+            if self.banded:
+                sel &= i <= j
+                slot = (self.bw + i[sel] - j[sel]) * nfree + j[sel]
+            else:
+                slot = np.searchsorted(keys, j[sel] * nfree + i[sel])
+            self.scatter[t] = sp.csc_matrix((s[sel], (slot, c[sel])), shape=(nslots, cell.num_cells))
+            fb = np.flatnonzero((i >= 0) & (j < 0))
+            gather = sp.csc_matrix((s[fb], (i[fb], np.arange(fb.size))), shape=(nfree, fb.size))
+            self.free_fixed[t] = (gather, c[fb], node[fb])
+        self.free.setflags(write=False)
+        self.diag.setflags(write=False)
+
+    def fixed_product(self, term, weights, x):
+        """A_fb x_b: the free-fixed block of a term under cell weights, applied to x.
+
+        ``x`` holds nodal values of shape (num_nodes, N); only its fixed
+        nodes are read.  Returns shape (nfree, N).
+        """
+        gather, cells, nodes = self.free_fixed[term]
+        return gather @ (weights[cells, None] * x[nodes])
+
+
+def _coupling_entries(pairs, pos, num_cells):
+    """Matrix entries (cell, row, column, column node, sign) of per-cell node pairs.
+
+    Rows and columns are free-node positions, -1 for fixed nodes.
+    """
+    cells = np.tile(np.arange(num_cells), len(pairs))
+    rows = pos[np.concatenate([p for p, _, _ in pairs])]
+    nodes = np.concatenate([q for _, q, _ in pairs])
+    signs = np.repeat([s for _, _, s in pairs], num_cells)
+    return cells, rows, pos[nodes], nodes, signs
 
 
 def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:

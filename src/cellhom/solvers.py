@@ -9,20 +9,28 @@ Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over a decreasing delta schedule.
 For densities that factor through the gradient magnitude the step is a
 majorize-minimize reweighted least-squares iteration (lagged
-diffusivity): each inner iteration solves a sparse weighted Laplacian
-exactly, and the surrogate energy cannot increase.  Densities without
-radial structure fall back to monotone Barzilai-Borwein descent with
-Armijo backtracking.  Reported energies are always evaluated with the
-unsmoothed density, so every returned value is a true upper bound of
-the discrete minimum.
+diffusivity): each inner iteration solves a weighted Laplacian exactly,
+and the surrogate energy cannot increase; a rejected or non-finite step
+ends the iteration as stalled.  Densities without radial structure fall
+back to monotone Barzilai-Borwein descent with Armijo backtracking.
+Reported energies are always evaluated with the unsmoothed density, so
+every returned value is a true upper bound of the discrete minimum.
 
 The v-step is exact: the surface energy is a convex quadratic in the
-nodal phase values, assembled sparse and solved directly, then clamped
-to [v_floor, 1] with boundary nodes reset to 1.
+nodal phase values, solved directly, then clamped to [v_floor, 1];
+boundary nodes stay 1.
+
+Both steps scatter their cell weights into the free-free block of the
+cell's ``free_operator`` (see :class:`cellhom.geometry.FreeNodeOperator`)
+and factorise it once per system for all components: banded Cholesky in
+one and two dimensions, sparse LU in three and more.  A factorisation
+that breaks down, or a phase solve with non-finite values, raises
+:class:`SolverBreakdown`.
 
 Alternating minimisation keeps the best (lowest unsmoothed energy) pair
 seen; the recorded energy trace contains accepted energies only and is
-therefore non-increasing by construction.
+therefore non-increasing by construction.  ``converged`` holds only when
+every smoothing level ended on its energy-decrease test.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import spsolve
 
 from .fields import (
@@ -51,6 +60,7 @@ from .integrand import InputDomainError, Integrand
 __all__ = [
     "SolverOptions",
     "CellResult",
+    "SolverBreakdown",
     "minimize_u_given_v",
     "minimize_v_given_u",
     "solve_bulk_cell",
@@ -99,7 +109,8 @@ class CellResult:
 
     ``value`` is the unsmoothed energy of the best iterate (the last
     entry of ``energy_trace``); ``converged`` is False when an iteration
-    budget ran out, in which case the value is still a valid upper bound.
+    budget ran out at any smoothing level, or for bulk cells when a
+    u-step stalled; the value is still a valid upper bound then.
     """
 
     value: float
@@ -109,6 +120,28 @@ class CellResult:
     iterations: int
     energy_trace: list
     converged: bool
+
+
+class SolverBreakdown(RuntimeError):
+    """A linear solve inside a cell problem failed: a factorisation broke
+    down or a solve that must succeed returned non-finite values."""
+
+
+def _solve_free(op, store, rhs):
+    """Solve the free-free system held in ``store`` for every column of ``rhs``.
+
+    Banded Cholesky (LAPACK pbtrf/pbtrs) for n <= 2; the band of an
+    n >= 3 grid is too wide for it, so those take a sparse LU.  One
+    factorisation serves all columns either way.
+    """
+    if op.banded:
+        try:
+            factor = cholesky_banded(store.reshape(op.bw + 1, op.nfree), check_finite=False)
+        except LinAlgError as exc:
+            raise SolverBreakdown(f"banded factorisation failed: {exc}") from exc
+        return cho_solve_banded((factor, False), rhs, check_finite=False)
+    A = sp.csc_matrix((store, op.indices, op.indptr), shape=(op.nfree, op.nfree))
+    return spsolve(A, rhs).reshape(rhs.shape)
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +155,11 @@ def _cell_weights(cell, v):
     return cell_average(cell, v.values).reshape(-1) ** 2
 
 
-def _smoothed_objective(cell, g, weights, delta, u_values, N):
+def _smoothed_objective(cell, g, coeff, weights, delta, u_values, N):
     """Value of sum_c h^n w_c g_delta(y_c, Du_c) and the magnitudes m_c."""
     Du = cell_gradient(cell, u_values).reshape(cell.num_cells, N, cell.n)
     m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta**2)
-    vals = g.coeff_cells(cell.cell_centers_global) * np.asarray(g.profile(m), dtype=float)
+    vals = coeff * np.asarray(g.profile(m), dtype=float)
     return cell.h**cell.n * float(np.sum(weights * vals)), m
 
 
@@ -139,60 +172,52 @@ def _irls_minimize(cell, g, weights, boundary, delta, opts, u0, stats):
     Tikhonov anchor to the previous iterate keeps the system definite
     where the weight field vanishes and makes the flat-region tie-break
     deterministic.
+
+    Stops on the first rejected or non-finite step (``stalled``): the
+    next iteration would rebuild the same system from the same iterate.
     """
     n, N, h = cell.n, boundary.N, cell.h
+    op = cell.free_operator
     coeff = g.coeff_cells(cell.cell_centers_global)
     bmask = cell.boundary_mask
-    bflat = bmask.reshape(-1)
-    free = np.flatnonzero(~bflat)
-    fixed = np.flatnonzero(bflat)
-    pbase, pshift = cell.cell_edge_nodes
 
     u = u0.copy()
     u[bmask] = boundary.values[bmask]
-    E, m = _smoothed_objective(cell, g, weights, delta, u, N)
+    E, m = _smoothed_objective(cell, g, coeff, weights, delta, u, N)
 
     it = 0
-    converged = False
+    converged = stalled = False
     while it < opts.u_max_iters:
         it += 1
         sigma = coeff * np.asarray(g.profile_deriv(m), dtype=float) / (2.0 * m)
         om = (h**n) * weights * 2.0 * sigma / h**2
         scale = float(np.max(om)) if om.size else 0.0
+        if not np.isfinite(scale):
+            stalled = True
+            break
         if scale <= 0.0:
             converged = True
             break
         om = np.maximum(om, 1e-14 * scale)
-        rows, cols, vals = [], [], []
-        for a in range(n):
-            q = pshift[a]
-            rows.extend([pbase, q, pbase, q])
-            cols.extend([pbase, q, q, pbase])
-            vals.extend([om, om, -om, -om])
-        A = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(cell.num_nodes, cell.num_nodes),
-        ).tocsr()
         tau = 1e-12 * scale
-        A = A + tau * sp.eye(cell.num_nodes, format="csr")
-        Aff = A[free][:, free].tocsc()
-        Afb = A[free][:, fixed]
+        store = op.scatter["stencil"] @ om
+        store[op.diag] += tau
+        uflat = u.reshape(-1, N)
+        rhs = tau * uflat[op.free] - op.fixed_product("stencil", om, uflat)
         u_new = u.copy()
-        for comp in range(N):
-            uflat = u[..., comp].reshape(-1)
-            rhs = tau * uflat[free] - Afb @ uflat[fixed]
-            x = uflat.copy()
-            x[free] = spsolve(Aff, rhs)
-            u_new[..., comp] = x.reshape(cell.node_shape)
-        E_new, m_new = _smoothed_objective(cell, g, weights, delta, u_new, N)
+        u_new.reshape(-1, N)[op.free] = _solve_free(op, store, rhs)
+        E_new, m_new = _smoothed_objective(cell, g, coeff, weights, delta, u_new, N)
         done = abs(E - E_new) <= opts.inner_tol * max(1.0, abs(E))
         if E_new <= E:
             u, E, m = u_new, E_new, m_new
         if done:
             converged = True
             break
+        if not E_new <= E:
+            stalled = True
+            break
 
-    stats.update(iterations=it, objective=E, converged=converged, step_collapse=False)
+    stats.update(iterations=it, objective=E, converged=converged, stalled=stalled, step_collapse=False)
     return u
 
 
@@ -274,8 +299,8 @@ def minimize_u_given_v(
     Dirichlet values are taken from ``boundary`` on every boundary node;
     the energy never increases across inner iterations.  Where the weight
     vanishes the previous iterate survives (deterministic tie-break).
-    On step collapse the best iterate is returned with the diagnostic in
-    ``stats``.
+    On step collapse or a stalled step the best iterate is returned with
+    the diagnostic in ``stats`` (``step_collapse``, ``stalled``).
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
@@ -316,44 +341,19 @@ def minimize_v_given_u(
         raise PreconditionError("cell weights must be nonnegative")
     W = np.maximum(W, 0.0)
 
-    corners = cell.cell_corner_nodes
-    ncorner = len(corners)
-    mass = hn * (W + 1.0) / ncorner**2
-
-    rows, cols, vals = [], [], []
-    b = np.zeros(cell.num_nodes)
-    for p in corners:
-        b[p] += hn / ncorner  # linear term from (1 - vbar)^2
-    for p in corners:
-        for q in corners:
-            rows.append(p)
-            cols.append(q)
-            vals.append(mass)
-    lap = cell.h ** (n - 2)
-    pbase, pshift = cell.cell_edge_nodes
-    for axis in range(n):
-        q = pshift[axis]
-        one = np.full(pbase.shape, lap)
-        rows.extend([pbase, q, pbase, q])
-        cols.extend([pbase, q, q, pbase])
-        vals.extend([one, one, -one, -one])
-
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(cell.num_nodes, cell.num_nodes),
-    ).tocsr()
-
-    bflat = cell.boundary_mask.reshape(-1)
-    free = np.flatnonzero(~bflat)
-    fixed = np.flatnonzero(bflat)
-    rhs = b[free] - np.asarray(A[free][:, fixed].sum(axis=1)).reshape(-1)
+    op = cell.free_operator
+    mass = hn * (W + 1.0) / 4**n
+    lap = np.full(cell.num_cells, cell.h ** (n - 2))
+    store = op.scatter["stencil"] @ lap + op.scatter["mass"] @ mass
+    # the linear term of (1 - vbar)^2 gives each corner hn / 2^n per cell,
+    # and every free node is a corner of 2^n cells; fixed nodes are 1
+    ones = np.ones((cell.num_nodes, 1))
+    rhs = hn - op.fixed_product("stencil", lap, ones) - op.fixed_product("mass", mass, ones)
     vvals = np.ones(cell.num_nodes)
-    if free.size:
-        vvals[free] = spsolve(A[free][:, free].tocsc(), rhs)
+    vvals[op.free] = _solve_free(op, store, rhs)[:, 0]
     if not np.all(np.isfinite(vvals)):
-        raise RuntimeError("phase solve broke down: non-finite solution")
+        raise SolverBreakdown("phase solve broke down: non-finite solution")
     vvals = np.clip(vvals, max(eta, 0.0), 1.0)
-    vvals[fixed] = 1.0
     return PhaseField(cell, vvals.reshape(cell.node_shape))
 
 
@@ -453,10 +453,9 @@ def solve_surface_cell(
     best_E = surface_energy(cell, ginf, u_run, v_run).total
     trace = [best_E]
     sweeps = 0
-    converged = False
+    converged = True
     E_prev = best_E
-    for k, delta in enumerate(opts.delta_schedule):
-        last_delta = k == len(opts.delta_schedule) - 1
+    for delta in opts.delta_schedule:
         for _ in range(opts.am_max_iters):
             stats = {}
             u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, opts, start=u_run, stats=stats)
@@ -469,10 +468,9 @@ def solve_surface_cell(
             drop = E_prev - E_try
             u_run, v_run, E_prev = u_try, v_try, E_try
             if drop <= opts.am_rel_tol * max(1.0, abs(E_try)):
-                if last_delta:
-                    converged = True
                 break
         else:
+            # this level ran out of sweeps; later levels do not undo that
             converged = False
 
     return CellResult(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import cellhom.solvers
 from cellhom.cli import ConfigError, main, parse_config, run
 
 MINIMAL_FHOM = """
@@ -55,6 +57,15 @@ class TestParseConfig:
 
 
 class TestRun:
+    def test_factorisation_breakdown_exit_two(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise LinAlgError("2-th leading minor not positive definite")
+
+        monkeypatch.setattr(cellhom.solvers, "cholesky_banded", fail)
+        code = run(parse_config(MINIMAL_FHOM), out_dir=tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cellhom: banded factorisation failed")
+
     def test_fhom_artifacts(self, tmp_path):
         cfg = parse_config(MINIMAL_FHOM)
         code = run(cfg, out_dir=tmp_path / "out")

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import spsolve
+
+import cellhom.solvers
 
 from cellhom.fields import (
     PhaseField,
@@ -14,8 +18,9 @@ from cellhom.fields import (
     surface_energy,
 )
 from cellhom.geometry import make_cell
-from cellhom.integrand import InputDomainError, area, euclid, laminate
+from cellhom.integrand import InputDomainError, Integrand, area, euclid, laminate
 from cellhom.solvers import (
+    SolverBreakdown,
     SolverOptions,
     minimize_u_given_v,
     minimize_v_given_u,
@@ -42,6 +47,109 @@ def lp_bulk_oracle_1d(coeffs, h, xi_times_r):
 
 def trace_is_non_increasing(trace, tol=1e-9):
     return all(b <= a + tol * (1.0 + abs(a)) for a, b in zip(trace, trace[1:]))
+
+
+def assemble_reference(cell, edge_w, mass_w=None):
+    """Full nodal matrix of the stencil (and corner mass) couplings, COO-assembled."""
+    pbase, pshift = cell.cell_edge_nodes
+    rows, cols, vals = [], [], []
+    for q in pshift:
+        rows += [pbase, q, pbase, q]
+        cols += [pbase, q, q, pbase]
+        vals += [edge_w, edge_w, -edge_w, -edge_w]
+    if mass_w is not None:
+        for p in cell.cell_corner_nodes:
+            for q in cell.cell_corner_nodes:
+                rows.append(p)
+                cols.append(q)
+                vals.append(mass_w)
+    shape = (cell.num_nodes, cell.num_nodes)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
+
+
+def reference_u_step(cell, v, bdata, delta, u0):
+    """One reweighted least-squares step for euclid, solved with scipy.sparse."""
+    n, h, N = cell.n, cell.h, bdata.N
+    w = cell_average(cell, v.values).reshape(-1) ** 2
+    Du = cell_gradient(cell, u0).reshape(cell.num_cells, N, n)
+    m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta**2)
+    om = h**n * w * 2.0 * (1.0 / (2.0 * m)) / h**2
+    scale = om.max()
+    om = np.maximum(om, 1e-14 * scale)
+    tau = 1e-12 * scale
+    A = assemble_reference(cell, om) + tau * sp.eye(cell.num_nodes, format="csr")
+    bflat = cell.boundary_mask.reshape(-1)
+    free, fixed = np.flatnonzero(~bflat), np.flatnonzero(bflat)
+    uflat = u0.reshape(-1, N)
+    rhs = tau * uflat[free] - A[free][:, fixed] @ uflat[fixed]
+    out = uflat.copy()
+    out[free] = spsolve(A[free][:, free].tocsc(), rhs).reshape(rhs.shape)
+    return out.reshape(u0.shape)
+
+
+def reference_v_step(cell, ginf, u, eta):
+    """The exact v-step assembled in full and sliced, solved with scipy.sparse."""
+    n, hn = cell.n, cell.h**cell.n
+    Du = cell_gradient(cell, u.values).reshape(cell.num_cells, u.N, n)
+    W = np.maximum(ginf.eval_cells(cell.cell_centers_global, Du), 0.0)
+    corners = cell.cell_corner_nodes
+    b = np.zeros(cell.num_nodes)
+    for p in corners:
+        b[p] += hn / len(corners)
+    lap = np.full(cell.num_cells, cell.h ** (n - 2))
+    A = assemble_reference(cell, lap, hn * (W + 1.0) / len(corners) ** 2)
+    bflat = cell.boundary_mask.reshape(-1)
+    free, fixed = np.flatnonzero(~bflat), np.flatnonzero(bflat)
+    vvals = np.ones(cell.num_nodes)
+    vvals[free] = spsolve(A[free][:, free].tocsc(), b[free] - A[free][:, fixed] @ vvals[fixed])
+    return np.clip(vvals, eta, 1.0).reshape(cell.node_shape)
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+EQUIVALENCE_CELLS = {
+    "1d": (make_cell((0.0,), 4.0, (1.0,), 1, 0.25), [1.0]),
+    "2d-N2": (make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25), [0.6, 0.8]),
+    "2d-k3": (make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 3, 0.5), [1.0]),
+    "2d-rotated": (make_cell((0.3, -0.2), 4.0, (0.6, 0.8), 1, 0.25), [1.0]),
+    "3d": (make_cell((0.0, 0.0, 0.0), 2.0, (0.0, 0.0, 1.0), 1, 0.5), [1.0]),
+}
+
+
+class TestFreeNodeOperator:
+    """Both steps against a scipy.sparse assembly of the same systems."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
+    def test_u_step_matches_sparse_reference(self, name, rng):
+        cell, zeta = EQUIVALENCE_CELLS[name]
+        bdata = jump_datum(cell, zeta, cell.rotation.nu, eps_width=4 * cell.h)
+        v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
+        start = bdata.values + 0.3 * rng.standard_normal(bdata.values.shape)
+        start[cell.boundary_mask] = bdata.values[cell.boundary_mask]
+        stats = {}
+        out = minimize_u_given_v(
+            cell, euclid(), v, bdata, 1e-2, SolverOptions(u_max_iters=1), start=VectorField(cell, start), stats=stats
+        )
+        assert stats["iterations"] == 1 and not stats["stalled"]
+        assert relative_gap(out.values, reference_u_step(cell, v, bdata, 1e-2, start)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
+    def test_v_step_matches_sparse_reference(self, name, rng):
+        cell, zeta = EQUIVALENCE_CELLS[name]
+        u = jump_datum(cell, zeta, cell.rotation.nu, eps_width=2 * cell.h)
+        u = VectorField(cell, u.values + 0.2 * rng.standard_normal(u.values.shape))
+        v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        assert v.values.min() < 0.99
+        assert relative_gap(v.values, reference_v_step(cell, euclid(), u, 0.0)) <= 1e-12
+
+    def test_band_layout_2d(self):
+        cell, _ = EQUIVALENCE_CELLS["2d-k3"]
+        op = cell.free_operator
+        assert op.banded and op.nfree == (cell.dims[0] - 1) * (cell.dims[1] - 1)
+        # stencil offsets 1 and dims[1] - 1, corner diagonals up to dims[1]
+        assert op.bw == cell.dims[1]
 
 
 class TestSolveBulkCell:
@@ -123,6 +231,16 @@ class TestSolveSurfaceCell:
         with pytest.raises(PreconditionError):
             solve_surface_cell(cell, area(), [1.0], (0.0, 1.0))
 
+    def test_exhausted_early_level_reports_unconverged(self):
+        # zero jump: the first sweep lifts the seeded dip to v = 1, later
+        # sweeps change nothing; one sweep per level exhausts only the first
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
+        one = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0), SolverOptions((1e-1, 1e-2), am_max_iters=1))
+        assert one.iterations == 2 and not one.converged
+        two = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0), SolverOptions((1e-1, 1e-2), am_max_iters=2))
+        assert two.iterations == 3 and two.converged
+        assert one.value == two.value
+
     def test_phase_clamp_with_floor(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         opts = SolverOptions(v_floor=0.25)
@@ -164,6 +282,26 @@ class TestMinimizeUGivenV:
 
         assert weighted(out) <= weighted(bdata) + 1e-10
 
+    def test_non_finite_step_stops_unconverged(self):
+        nan_deriv = Integrand(
+            id="nan-deriv",
+            C=1.0,
+            alpha=0.5,
+            profile=lambda s: np.asarray(s, dtype=float),
+            profile_deriv=lambda s: np.full_like(np.asarray(s, dtype=float), np.nan),
+        )
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
+        bdata = affine_datum(cell, [[1.0, 0.0]])
+        start = VectorField(cell, bdata.values + 0.123)
+        stats = {}
+        out = minimize_u_given_v(cell, nan_deriv, None, bdata, 1e-2, SolverOptions(), start=start, stats=stats)
+        assert stats["iterations"] <= 2 and stats["stalled"] and not stats["converged"]
+        expected = start.values.copy()
+        expected[cell.boundary_mask] = bdata.values[cell.boundary_mask]
+        np.testing.assert_array_equal(out.values, expected)
+        res = solve_bulk_cell(cell, nan_deriv, [[1.0, 0.0]])
+        assert not res.converged and res.iterations <= 2 * len(SolverOptions().delta_schedule)
+
     def test_rejects_bad_delta(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         bdata = affine_datum(cell, [[1.0, 0.0]])
@@ -202,6 +340,13 @@ class TestMinimizeVGivenU:
         u = VectorField(cell, np.where(zn > 1e-12, s, 0.0)[..., None])
         v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
         assert v.values.min() == pytest.approx(2.0 / (s + 2.0), rel=0.10)
+
+    def test_non_finite_solve_is_a_breakdown(self, monkeypatch):
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
+        u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
+        monkeypatch.setattr(cellhom.solvers, "cho_solve_banded", lambda cb, b, **kw: np.full(b.shape, np.nan))
+        with pytest.raises(SolverBreakdown, match="non-finite"):
+            minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
 
     def test_improves_on_previous_phase(self, rng):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
