@@ -47,36 +47,6 @@ REPORT_FORMAT_VERSION = 1
 
 COMMANDS = ("fhom", "finfhom", "ghom", "mc", "mu", "verify", "sweep")
 
-_KNOWN_KEYS = {
-    "command",
-    "integrand",
-    "xi",
-    "zeta",
-    "nu",
-    "r",
-    "h",
-    "k",
-    "center",
-    "seeds",
-    "t_schedule",
-    "route",
-    "a_prime",
-    "mc_quantity",
-    "delta_schedule",
-    "am_rel_tol",
-    "am_max_iters",
-    "inner_tol",
-    "u_max_iters",
-    "v_floor",
-    "tol_scale",
-    "include_routes",
-    "include_process",
-    "out",
-    "format_version",
-    "jobs",
-}
-
-
 class ConfigError(ValueError):
     """Raised on malformed or incomplete run configs."""
 
@@ -112,8 +82,16 @@ def _parse_matrix(text):
     return np.array([[float(v) for v in r.split(",")] for r in rows])
 
 
+def _parse_vector(text):
+    return np.array([float(v) for v in text.split(",")])
+
+
 def _parse_floats(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _parse_ints(text):
+    return tuple(int(v) for v in text.split(","))
 
 
 def _parse_intervals(text):
@@ -124,10 +102,50 @@ def _parse_intervals(text):
     return tuple(out)
 
 
+def _parse_flag(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+# config key -> (RunConfig field, parser); a key whose field is a list
+# may repeat, and every occurrence is appended
+_CONFIG_KEYS = {
+    "command": ("command", str),
+    "integrand": ("integrand", str),
+    "xi": ("xi", _parse_matrix),
+    "zeta": ("zeta", _parse_vector),
+    "nu": ("nu", _parse_floats),
+    "r": ("r_values", _parse_floats),
+    "h": ("h", float),
+    "k": ("k", int),
+    "center": ("center", _parse_floats),
+    "seeds": ("seeds", _parse_ints),
+    "t_schedule": ("t_schedule", _parse_floats),
+    "route": ("route", str),
+    "a_prime": ("a_prime", _parse_intervals),
+    "mc_quantity": ("mc_quantity", str),
+    "tol_scale": ("tol_scale", float),
+    "include_routes": ("include_routes", _parse_flag),
+    "include_process": ("include_process", _parse_flag),
+    "out": ("out", str),
+    "format_version": ("format_version", int),
+    "jobs": ("jobs", int),
+}
+
+# config key -> parser of the SolverOptions field of the same name
+_SOLVER_KEYS = {
+    "delta_schedule": _parse_floats,
+    "am_rel_tol": float,
+    "am_max_iters": int,
+    "inner_tol": float,
+    "u_max_iters": int,
+    "v_floor": float,
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a key=value config; unknown keys are rejected."""
-    values = {}
-    xi_list, zeta_list = [], []
+    cfg = RunConfig(command=None, raw_text=text)
+    solver_kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,81 +153,33 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key in _CONFIG_KEYS:
+            name, parse = _CONFIG_KEYS[key]
+        elif key in _SOLVER_KEYS:
+            name, parse = key, _SOLVER_KEYS[key]
+        else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "xi":
-                xi_list.append(_parse_matrix(val))
-            elif key == "zeta":
-                zeta_list.append(np.array([float(v) for v in val.split(",")]))
-            else:
-                values[key] = val
-        except ConfigError:
-            raise
-        except Exception as exc:
+            value = parse(val)
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key!r}: {exc}") from exc
+        if key in _SOLVER_KEYS:
+            solver_kwargs[name] = value
+        elif isinstance(getattr(cfg, name), list):
+            getattr(cfg, name).append(value)
+        else:
+            setattr(cfg, name, value)
+    if solver_kwargs:
+        try:
+            cfg.solver = SolverOptions(**solver_kwargs)
+        except InputDomainError as exc:
+            raise ConfigError(f"invalid solver options: {exc}") from exc
 
-    if "command" not in values:
+    command = cfg.command
+    if command is None:
         raise ConfigError("missing required key 'command'")
-    command = values.pop("command")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
-
-    cfg = RunConfig(command=command, xi=xi_list, zeta=zeta_list, raw_text=text)
-    solver_kwargs = {}
-    try:
-        for key, val in values.items():
-            if key == "integrand":
-                cfg.integrand = val
-            elif key == "nu":
-                cfg.nu = _parse_floats(val)
-            elif key == "r":
-                cfg.r_values = _parse_floats(val)
-            elif key == "h":
-                cfg.h = float(val)
-            elif key == "k":
-                cfg.k = int(val)
-            elif key == "center":
-                cfg.center = _parse_floats(val)
-            elif key == "seeds":
-                cfg.seeds = tuple(int(v) for v in val.split(","))
-            elif key == "t_schedule":
-                cfg.t_schedule = _parse_floats(val)
-            elif key == "route":
-                cfg.route = val
-            elif key == "a_prime":
-                cfg.a_prime = _parse_intervals(val)
-            elif key == "mc_quantity":
-                cfg.mc_quantity = val
-            elif key == "delta_schedule":
-                solver_kwargs["delta_schedule"] = _parse_floats(val)
-            elif key == "am_rel_tol":
-                solver_kwargs["am_rel_tol"] = float(val)
-            elif key == "am_max_iters":
-                solver_kwargs["am_max_iters"] = int(val)
-            elif key == "inner_tol":
-                solver_kwargs["inner_tol"] = float(val)
-            elif key == "u_max_iters":
-                solver_kwargs["u_max_iters"] = int(val)
-            elif key == "v_floor":
-                solver_kwargs["v_floor"] = float(val)
-            elif key == "tol_scale":
-                cfg.tol_scale = float(val)
-            elif key == "include_routes":
-                cfg.include_routes = val.lower() in ("1", "true", "yes")
-            elif key == "include_process":
-                cfg.include_process = val.lower() in ("1", "true", "yes")
-            elif key == "out":
-                cfg.out = val
-            elif key == "format_version":
-                cfg.format_version = int(val)
-            elif key == "jobs":
-                cfg.jobs = int(val)
-    except (ValueError, InputDomainError) as exc:
-        raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
-    if solver_kwargs:
-        cfg.solver = SolverOptions(**solver_kwargs)
-
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
     if command in ("fhom", "finfhom", "sweep") and not cfg.xi:
@@ -263,52 +233,16 @@ SUMMARY_HEADER = (
 DIAGNOSTICS_HEADER = "quantity,argument,r,seed,step,accepted_energy"
 
 
-def _one_row(est, r, seed, scaled, res):
-    return ",".join(
-        [
-            est.quantity,
-            _arg_str(est.argument),
-            _fmt(float(r)),
-            str(seed),
-            _fmt(float(scaled)),
-            _fmt(float(res.value)),
-            str(res.iterations),
-            str(res.converged),
-            str(len(res.energy_trace)),
-        ]
-    )
-
-
-def _results_rows(est: HomEstimate):
-    rows = []
+def _solves(est: HomEstimate):
+    """(r, seed, scaled value, result) of every cell solve of an estimate."""
     if est.ensemble:
-        # one row per seed at the fixed cell size
+        # one solve per seed at the fixed cell size
         r = est.r_values[0]
-        for seed, val, res in zip(est.ensemble["seeds"], est.ensemble["values"], est.per_r_results):
-            rows.append(_one_row(est, r, seed, val, res))
-        return rows
-    scaled = est.scaled_values
-    for i, res in enumerate(est.per_r_results):
-        r = est.r_values[i] if i < len(est.r_values) else est.r_values[-1]
-        sc = scaled[i] if i < len(scaled) else float("nan")
-        rows.append(_one_row(est, r, "", sc, res))
-    return rows
-
-
-def _diagnostic_rows(est: HomEstimate):
-    """One row per accepted energy along each solve's trace."""
-    rows = []
-    seeds = est.ensemble["seeds"] if est.ensemble else [""] * len(est.per_r_results)
-    for i, res in enumerate(est.per_r_results):
-        r = est.r_values[min(i, len(est.r_values) - 1)]
-        seed = seeds[i] if i < len(seeds) else ""
-        for step, energy in enumerate(res.energy_trace):
-            rows.append(
-                ",".join(
-                    [est.quantity, _arg_str(est.argument), _fmt(float(r)), str(seed), str(step), _fmt(float(energy))]
-                )
-            )
-    return rows
+        for seed, scaled, res in zip(est.ensemble["seeds"], est.ensemble["values"], est.per_r_results, strict=True):
+            yield r, seed, scaled, res
+    else:
+        for r, scaled, res in zip(est.r_values, est.scaled_values, est.per_r_results, strict=True):
+            yield r, "", scaled, res
 
 
 def _summary_row(est: HomEstimate):
@@ -400,21 +334,8 @@ def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
                 raise ConfigError("command 'mu' requires 'nu'")
             for zeta in config.zeta:
                 val = subadditive_process_eval(model, zeta, config.nu, config.a_prime, opts, config.h)
-                mu_rows.append(
-                    ",".join(
-                        [
-                            "mu",
-                            _arg_str((zeta, np.asarray(config.nu))),
-                            _fmt(float(0.0)),
-                            "",
-                            _fmt(float(val)),
-                            _fmt(float(val)),
-                            "0",
-                            "True",
-                            "0",
-                        ]
-                    )
-                )
+                arg = _arg_str((zeta, np.asarray(config.nu)))
+                mu_rows.append(f"mu,{arg},0.0,,{_fmt(float(val))},{_fmt(float(val))},0,True,0")
         if config.command == "verify":
             checks = run_suite(
                 tol_scale=tol_scale,
@@ -439,9 +360,15 @@ def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
     summary_lines = [SUMMARY_HEADER]
     diag_lines = [DIAGNOSTICS_HEADER]
     for est in estimates:
-        results_lines.extend(_results_rows(est))
+        arg = _arg_str(est.argument)
+        for r, seed, scaled, res in _solves(est):
+            head = f"{est.quantity},{arg},{_fmt(float(r))},{seed}"
+            results_lines.append(
+                f"{head},{_fmt(float(scaled))},{_fmt(float(res.value))},"
+                f"{res.iterations},{res.converged},{len(res.energy_trace)}"
+            )
+            diag_lines.extend(f"{head},{step},{_fmt(float(e))}" for step, e in enumerate(res.energy_trace))
         summary_lines.append(_summary_row(est))
-        diag_lines.extend(_diagnostic_rows(est))
     results_lines.extend(mu_rows)
     (out / "results.csv").write_text("\n".join(results_lines) + "\n")
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")

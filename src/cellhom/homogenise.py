@@ -93,11 +93,11 @@ class HomEstimate:
     route: Optional[str] = None
 
     @staticmethod
-    def from_runs(quantity, argument, r_values, scaled, results, tol_r=DEFAULT_CAUCHY_TOL, route=None):
+    def from_runs(quantity, argument, r_values, scaled, results, route=None):
         scaled = np.asarray(scaled, dtype=float)
         gap = float(abs(scaled[-1] - scaled[-2])) if len(scaled) > 1 else 0.0
         warnings = []
-        if len(scaled) > 1 and gap > tol_r * max(1.0, abs(scaled[-1])):
+        if len(scaled) > 1 and gap > DEFAULT_CAUCHY_TOL * max(1.0, abs(scaled[-1])):
             warnings.append(f"non-Cauchy tail: gap {gap:.3g} at r={r_values[-1]}")
         if any(not res.converged for res in results):
             warnings.append("one or more cell solves unconverged; values are upper bounds")
@@ -119,7 +119,6 @@ def estimate_f_hom(
     xi,
     schedule: Schedule,
     opts: SolverOptions | None = None,
-    tol_r: float = DEFAULT_CAUCHY_TOL,
 ) -> HomEstimate:
     """Scaled bulk minima m_b(affine xi, Q_r(r x)) / volume along the schedule."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -130,7 +129,7 @@ def estimate_f_hom(
         res = solve_bulk_cell(cell, g, xi, opts)
         results.append(res)
         scaled.append(res.value / cell.volume)
-    return HomEstimate.from_runs("f_hom", (xi.copy(),), schedule.r_values, scaled, results, tol_r)
+    return HomEstimate.from_runs("f_hom", (xi.copy(),), schedule.r_values, scaled, results)
 
 
 def estimate_f_inf_hom(
@@ -140,7 +139,6 @@ def estimate_f_inf_hom(
     schedule: Schedule,
     opts: SolverOptions | None = None,
     t_schedule: Sequence[float] = (8.0, 32.0, 128.0),
-    tol_r: float = DEFAULT_CAUCHY_TOL,
 ) -> HomEstimate:
     """Effective recession density by one of two routes.
 
@@ -153,20 +151,20 @@ def estimate_f_inf_hom(
     opts = opts or SolverOptions()
     if route == "hom_of_recession":
         ginf = g.recession_integrand()
-        est = estimate_f_hom(ginf, xi, schedule, opts, tol_r)
+        est = estimate_f_hom(ginf, xi, schedule, opts)
         return HomEstimate.from_runs(
-            "f_inf_hom", (xi.copy(),), est.r_values, est.scaled_values, est.per_r_results, tol_r, route=route
+            "f_inf_hom", (xi.copy(),), est.r_values, est.scaled_values, est.per_r_results, route=route
         )
     if route == "recession_of_hom":
         # one representative solve per t (the largest r, which feeds the
         # scaled value), so report rows stay aligned with the t-schedule
         values, results = [], []
         for t in t_schedule:
-            est = estimate_f_hom(g, t * xi, schedule, opts, tol_r)
+            est = estimate_f_hom(g, t * xi, schedule, opts)
             values.append(est.extrapolated / t)
             results.append(est.per_r_results[-1])
         return HomEstimate.from_runs(
-            "f_inf_hom", (xi.copy(),), tuple(t_schedule), values, results, tol_r, route=route
+            "f_inf_hom", (xi.copy(),), tuple(t_schedule), values, results, route=route
         )
     raise InputDomainError(f"unknown route {route!r}")
 
@@ -177,7 +175,6 @@ def estimate_g_hom(
     nu,
     schedule: Schedule,
     opts: SolverOptions | None = None,
-    tol_r: float = DEFAULT_CAUCHY_TOL,
 ) -> HomEstimate:
     """Scaled interface minima m_s(jump, Q^nu_r(r x)) / cross-section."""
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
@@ -190,7 +187,7 @@ def estimate_g_hom(
         res = solve_surface_cell(cell, ginf, zeta, nu, opts)
         results.append(res)
         scaled.append(res.value / cell.cross_section)
-    return HomEstimate.from_runs("g_hom", (zeta.copy(), nu.copy()), sched.r_values, scaled, results, tol_r)
+    return HomEstimate.from_runs("g_hom", (zeta.copy(), nu.copy()), sched.r_values, scaled, results)
 
 
 def mc_expectation(
@@ -241,7 +238,8 @@ def mc_expectation(
         "std": std,
         "halfwidth95": 1.96 * std / np.sqrt(len(seeds)),
     }
-    est = HomEstimate.from_runs(quantity, (argument,), (r,), [ensemble["mean"]], results)
+    # the argument in the form of the per-seed estimates: (xi,) or (zeta, nu)
+    est = HomEstimate.from_runs(quantity, est.argument, (r,), [ensemble["mean"]], results)
     est.ensemble = ensemble
     return est
 

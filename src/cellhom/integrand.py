@@ -12,9 +12,10 @@ function is positively 1-homogeneous and satisfies
 C^-1 |xi| <= f_inf(x, xi) <= C |xi|.
 
 Every catalog density factors through the gradient magnitude,
-f(x, xi) = coeff(x) * profile(|xi|), which the solvers exploit for
-smoothing; fully generic densities can still be wrapped via
-``Integrand.from_pointwise`` (slow path, used by validation tests).
+f(x, xi) = coeff(x) * profile(|xi|), and the cell solvers need that
+form.  Fully generic densities can still be wrapped via
+``Integrand.from_pointwise`` for evaluation, recession and validation;
+the cell solvers reject them.
 
 Random stationary densities are realised as ``RandomIntegrandModel``:
 a unit-lattice coefficient field drawn from a splittable 64-bit hash of
@@ -80,6 +81,10 @@ def _frob(xis):
 class Integrand:
     """An evaluable energy density with declared growth constants.
 
+    The cell solvers need the radial form coeff(x) * profile(|xi|).  A
+    density given through ``generic_eval`` evaluates, localises and
+    validates, but the cell solvers reject it with ``PreconditionError``.
+
     Parameters
     ----------
     id : str
@@ -95,7 +100,7 @@ class Integrand:
         Radial part; maps magnitudes (M,) to values (M,).  Present for
         every density that factors through |xi|.
     profile_deriv : callable or None
-        Derivative of ``profile`` on (0, inf); required by the smoothed
+        Derivative of ``profile`` on (0, inf); required by the cell
         solvers.
     recession_slope : float or None
         lim_{s->inf} profile(s)/s when available in closed form; the
@@ -167,48 +172,6 @@ class Integrand:
             return np.asarray(self.recession_eval(points, xis), dtype=float)
         points = np.asarray(points, dtype=float)
         return self.coeff_cells(points) * self.recession_slope * _frob(xis)
-
-    def smoothed_cells(self, points, xis, delta):
-        """Smoothed value and xi-gradient of the density on a batch.
-
-        For radial densities the magnitude is inflated,
-        f_delta = coeff * profile(sqrt(|xi|^2 + delta^2)), which is C^1 in
-        xi (gradient -> 0 as xi -> 0) and overestimates f by at most
-        Lip(profile) * delta.  Densities without radial structure fall
-        back to the envelope sqrt(f^2 + delta^2) - delta with central
-        finite differences in xi.
-
-        Returns (values (M,), grads (M, N, n)).
-        """
-        xis = np.asarray(xis, dtype=float)
-        if self.is_radial:
-            if self.profile_deriv is None:
-                raise InputDomainError(f"integrand {self.id!r} lacks a profile derivative")
-            a = self.coeff_cells(np.asarray(points, dtype=float))
-            m = np.sqrt(_frob(xis) ** 2 + delta**2)
-            vals = a * np.asarray(self.profile(m), dtype=float)
-            scale = a * np.asarray(self.profile_deriv(m), dtype=float) / m
-            grads = scale[:, None, None] * xis
-            return vals, grads
-        return self._moreau_cells(points, xis, delta)
-
-    def _moreau_cells(self, points, xis, delta):
-        f = self.eval_cells(points, xis)
-        vals = np.sqrt(f**2 + delta**2) - delta
-        grads = np.zeros_like(xis)
-        step = max(delta, 1e-6) * 0.1
-        for i in range(xis.shape[1]):
-            for j in range(xis.shape[2]):
-                dp = xis.copy()
-                dp[:, i, j] += step
-                dm = xis.copy()
-                dm[:, i, j] -= step
-                fp = self.eval_cells(points, dp)
-                fm = self.eval_cells(points, dm)
-                gp = np.sqrt(fp**2 + delta**2) - delta
-                gm = np.sqrt(fm**2 + delta**2) - delta
-                grads[:, i, j] = (gp - gm) / (2 * step)
-        return vals, grads
 
     # ------------------------------------------------------------------
     # derived integrands

@@ -7,14 +7,14 @@ smoothed jump and v = 1 on the boundary.
 
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over a decreasing delta schedule.
-For densities that factor through the gradient magnitude the step is a
+For densities of the form coeff(x) * profile(|xi|) the step is a
 majorize-minimize reweighted least-squares iteration (lagged
 diffusivity): each inner iteration solves a weighted Laplacian exactly,
 and the surrogate energy cannot increase; a rejected or non-finite step
-ends the iteration as stalled.  Densities without radial structure fall
-back to monotone Barzilai-Borwein descent with Armijo backtracking.
-Reported energies are always evaluated with the unsmoothed density, so
-every returned value is a true upper bound of the discrete minimum.
+ends the iteration as stalled.  A density given only through
+``generic_eval`` is rejected with :class:`PreconditionError`.  Reported
+energies are always evaluated with the unsmoothed density, so every
+returned value is a true upper bound of the discrete minimum.
 
 The v-step is exact: the surface energy is a convex quadratic in the
 nodal phase values, solved directly, then clamped to [v_floor, 1];
@@ -79,9 +79,6 @@ class SolverOptions:
                      the inner u-solver (scaled by max(1, |objective|)).
     u_max_iters    : inner iterations allowed per u-step.
     v_floor        : optional lower clamp on the phase field (eta).
-    rng_seed       : seed for the optional jittered interface seed.
-    init_jitter    : amplitude of the seeded perturbation of the initial
-                     phase dip (0 keeps the deterministic default).
     """
 
     delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -90,8 +87,6 @@ class SolverOptions:
     inner_tol: float = 1e-7
     u_max_iters: int = 1200
     v_floor: float = 0.0
-    rng_seed: int = 0
-    init_jitter: float = 0.0
 
     def __post_init__(self):
         ds = tuple(float(d) for d in self.delta_schedule)
@@ -217,70 +212,7 @@ def _irls_minimize(cell, g, weights, boundary, delta, opts, u0, stats):
             stalled = True
             break
 
-    stats.update(iterations=it, objective=E, converged=converged, stalled=stalled, step_collapse=False)
-    return u
-
-
-def _bb_minimize(cell, g, weights, boundary, delta, opts, u0, stats):
-    """Monotone Barzilai-Borwein descent on the smoothed energy.
-
-    Fallback for densities without radial structure; gradients come from
-    ``Integrand.smoothed_cells``.  Stops on the projected-gradient norm
-    scaled by max(1, |objective|).
-    """
-    n, N, h = cell.n, boundary.N, cell.h
-    hn = h**n
-    bmask = cell.boundary_mask
-
-    def objective(u_values):
-        Du = cell_gradient(cell, u_values).reshape(cell.num_cells, N, n)
-        vals, grads = g.smoothed_cells(cell.cell_centers_global, Du, delta)
-        obj = hn * float(np.sum(weights * vals))
-        G = (hn / h) * weights[:, None, None] * grads
-        G = G.reshape(cell.dims + (N, n))
-        grad = np.zeros(cell.node_shape + (N,))
-        base = tuple(slice(0, -1) for _ in range(n))
-        for axis in range(n):
-            sl = list(base)
-            sl[axis] = slice(1, None)
-            grad[tuple(sl)] += G[..., axis]
-            grad[base] -= G[..., axis]
-        grad[bmask] = 0.0
-        return obj, grad
-
-    u = u0.copy()
-    u[bmask] = boundary.values[bmask]
-    obj, grad = objective(u)
-    tol = opts.inner_tol * max(1.0, abs(obj))
-    gnorm = float(np.linalg.norm(grad))
-    lip = 2.0 * n * h ** (n - 2) * max(float(np.max(weights)), 1e-12) * g.C / delta
-    t = 1.0 / max(lip, 1e-12)
-    it = 0
-    collapsed = False
-    max_iters = max(opts.u_max_iters, 400)
-    while gnorm > tol and it < max_iters:
-        gg = gnorm**2
-        accepted = False
-        t_try = min(max(t, 1e-14), 1e12)
-        for _ in range(60):
-            u_try = u - t_try * grad
-            u_try[bmask] = boundary.values[bmask]
-            obj_try, grad_try = objective(u_try)
-            if obj_try <= obj - 1e-4 * t_try * gg:
-                accepted = True
-                break
-            t_try *= 0.5
-        if not accepted:
-            collapsed = True
-            break
-        s = u_try - u
-        y = grad_try - grad
-        sy = float(np.sum(s * y))
-        t = float(np.sum(s * s)) / sy if sy > 1e-300 else t_try * 2.0
-        u, obj, grad = u_try, obj_try, grad_try
-        gnorm = float(np.linalg.norm(grad))
-        it += 1
-    stats.update(iterations=it, objective=obj, converged=(gnorm <= tol), step_collapse=collapsed)
+    stats.update(iterations=it, objective=E, converged=converged, stalled=stalled)
     return u
 
 
@@ -299,18 +231,17 @@ def minimize_u_given_v(
     Dirichlet values are taken from ``boundary`` on every boundary node;
     the energy never increases across inner iterations.  Where the weight
     vanishes the previous iterate survives (deterministic tie-break).
-    On step collapse or a stalled step the best iterate is returned with
-    the diagnostic in ``stats`` (``step_collapse``, ``stalled``).
+    On a stalled step the best iterate is returned with ``stalled`` set
+    in ``stats``.  ``g`` must have the form coeff(x) * profile(|xi|) with
+    a ``profile_deriv``; other densities raise :class:`PreconditionError`.
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
+    if not g.is_radial or g.profile_deriv is None:
+        raise PreconditionError(f"u-step needs a radial density with a profile derivative, got {g.id!r}")
     weights = _cell_weights(cell, v)
     u0 = (start.values if start is not None else boundary.values).copy()
-    stats_out = {} if stats is None else stats
-    if g.is_radial:
-        u = _irls_minimize(cell, g, weights, boundary, delta, opts, u0, stats_out)
-    else:
-        u = _bb_minimize(cell, g, weights, boundary, delta, opts, u0, stats_out)
+    u = _irls_minimize(cell, g, weights, boundary, delta, opts, u0, {} if stats is None else stats)
     return VectorField(cell, u)
 
 
@@ -387,7 +318,7 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi, opts: SolverOptions | No
             best_E, best_u = E_try, u_try
             trace.append(E_try)
         u_run = u_try
-        if not stats["converged"] and not stats["step_collapse"]:
+        if not stats["converged"]:
             converged = False
     return CellResult(
         value=best_E,
@@ -400,23 +331,17 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi, opts: SolverOptions | No
     )
 
 
-def _seeded_phase(cell, opts):
+def _seeded_phase(cell):
     """All-ones phase with a dip to 0.5 on the first node layer above the plane.
 
     The dip covers the two corner rows of the cell layer on the positive
     side of the interface, which selects the concentrated branch of the
     alternating minimisation; a symmetric dip can stall on a two-cell
-    saddle.  ``init_jitter`` adds a seeded perturbation for probing other
-    branches.
+    saddle.
     """
     v = np.ones(cell.node_shape)
     zn = cell.local_nodes[..., -1]
-    dip = np.abs(zn - 0.5 * cell.h) <= 0.51 * cell.h
-    level = np.full(cell.node_shape, 0.5)
-    if opts.init_jitter > 0:
-        rng = np.random.default_rng(opts.rng_seed)
-        level += opts.init_jitter * (rng.random(cell.node_shape) - 0.5)
-    v[dip] = np.clip(level[dip], 0.0, 1.0)
+    v[np.abs(zn - 0.5 * cell.h) <= 0.51 * cell.h] = 0.5
     v[cell.boundary_mask] = 1.0
     return PhaseField(cell, v)
 
@@ -448,7 +373,7 @@ def solve_surface_cell(
     width = 4.0 * cell.h if datum_width is None else float(datum_width)
     bdata = jump_datum(cell, zeta, nu, eps_width=width)
     u_run = bdata.copy()
-    v_run = _seeded_phase(cell, opts)
+    v_run = _seeded_phase(cell)
     best_u, best_v = u_run, v_run
     best_E = surface_energy(cell, ginf, u_run, v_run).total
     trace = [best_E]

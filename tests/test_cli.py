@@ -4,6 +4,7 @@ from scipy.linalg import LinAlgError
 
 import cellhom.solvers
 from cellhom.cli import ConfigError, main, parse_config, run
+from cellhom.solvers import SolverOptions
 
 MINIMAL_FHOM = """
 command = fhom
@@ -55,6 +56,55 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="format version"):
             parse_config(MINIMAL_FHOM + "format_version = 99\n")
 
+    def test_every_key_off_default(self):
+        cfg = parse_config(
+            """
+command = finfhom
+integrand = area
+xi = 1,0
+xi = 0,2
+zeta = 1,2
+zeta = 3,4
+nu = 0.6,0.8
+r = 2,4
+h = 0.5
+k = 3
+center = 0.5,0.25
+seeds = 7,8
+t_schedule = 4,16
+route = hom_of_recession
+a_prime = 0:1,2:3
+mc_quantity = g_hom
+delta_schedule = 0.1,0.01
+am_rel_tol = 1e-5
+am_max_iters = 7
+inner_tol = 1e-4
+u_max_iters = 9
+v_floor = 0.2
+tol_scale = 2.5
+include_routes = yes
+include_process = true
+out = runs/x
+format_version = 1
+jobs = 2
+"""
+        )
+        assert cfg.command == "finfhom" and cfg.integrand == "area"
+        assert [x.tolist() for x in cfg.xi] == [[[1.0, 0.0]], [[0.0, 2.0]]]
+        assert [z.tolist() for z in cfg.zeta] == [[1.0, 2.0], [3.0, 4.0]]
+        assert cfg.nu == (0.6, 0.8) and cfg.r_values == (2.0, 4.0) and cfg.h == 0.5 and cfg.k == 3
+        assert cfg.center == (0.5, 0.25) and cfg.seeds == (7, 8) and cfg.t_schedule == (4.0, 16.0)
+        assert cfg.route == "hom_of_recession" and cfg.a_prime == ((0.0, 1.0), (2.0, 3.0))
+        assert cfg.mc_quantity == "g_hom" and cfg.tol_scale == 2.5
+        assert cfg.include_routes is True and cfg.include_process is True
+        assert cfg.out == "runs/x" and cfg.format_version == 1 and cfg.jobs == 2
+        assert cfg.solver == SolverOptions(
+            delta_schedule=(0.1, 0.01), am_max_iters=7, am_rel_tol=1e-5, inner_tol=1e-4, u_max_iters=9, v_floor=0.2
+        )
+        defaults = SolverOptions()
+        for name in ("delta_schedule", "am_max_iters", "am_rel_tol", "inner_tol", "u_max_iters", "v_floor"):
+            assert getattr(cfg.solver, name) != getattr(defaults, name)
+
 
 class TestRun:
     def test_factorisation_breakdown_exit_two(self, tmp_path, monkeypatch, capsys):
@@ -99,6 +149,21 @@ class TestRun:
         assert code == 0
         rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert rows[1].startswith("mu,")
+
+    def test_mc_ghom_rows(self, tmp_path):
+        cfg = parse_config(
+            "command = mc\nintegrand = checkerboard:3,1,2\nmc_quantity = g_hom\n"
+            "zeta = 1\nnu = 0,1\nr = 2\nh = 0.5\nseeds = 1,2\n"
+        )
+        code = run(cfg, out_dir=tmp_path / "out")
+        assert code in (0, 2)  # 2 allowed: tiny cells may flag unconverged
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["g_hom", "[1.0];[0.0 1.0]", "2.0", "1"],
+            ["g_hom", "[1.0];[0.0 1.0]", "2.0", "2"],
+        ]
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert summary[1].startswith("g_hom,[1.0];[0.0 1.0],,[2.0],")
 
     def test_sweep_combines_quantities(self, tmp_path):
         cfg = parse_config(
@@ -167,6 +232,15 @@ class TestMain:
         cfg_path.write_text("command = fhom\nfoo = 1\n")
         assert main(["--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("line", ["v_floor = 1.5", "delta_schedule = 0.01,0.1"])
+    def test_bad_solver_value_is_config_error(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL_FHOM + line + "\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cellhom: config error: invalid solver options")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_rebases_list(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(
@@ -176,3 +250,7 @@ class TestMain:
         assert code in (0, 2)  # 2 allowed: tiny cells may flag unconverged
         manifest = (tmp_path / "out" / "manifest").read_text()
         assert "seeds=5,6" in manifest
+        results = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in results] == ["5", "6"]
+        diagnostics = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert diagnostics and {row.split(",")[3] for row in diagnostics} == {"5", "6"}
