@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,7 +72,6 @@ class RunConfig:
     include_process: bool = False
     out: str = "runs"
     format_version: int = REPORT_FORMAT_VERSION
-    jobs: int = 1
     raw_text: str = ""
 
 
@@ -128,7 +126,6 @@ _CONFIG_KEYS = {
     "include_process": ("include_process", _parse_flag),
     "out": ("out", str),
     "format_version": ("format_version", int),
-    "jobs": ("jobs", int),
 }
 
 # config key -> parser of the SolverOptions field of the same name
@@ -184,8 +181,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
     if command in ("fhom", "finfhom", "sweep") and not cfg.xi:
         raise ConfigError(f"command {command!r} requires at least one 'xi'")
-    if command in ("ghom", "mu") and not cfg.zeta:
+    if command in ("ghom", "mu", "sweep") and not cfg.zeta:
         raise ConfigError(f"command {command!r} requires at least one 'zeta'")
+    if command in ("ghom", "mu", "sweep") and not cfg.nu:
+        raise ConfigError(f"command {command!r} requires 'nu'")
     if command == "mc":
         if not cfg.seeds:
             raise ConfigError("command 'mc': seeds required")
@@ -195,8 +194,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("command 'mc' with g_hom requires 'zeta' and 'nu'")
         if cfg.mc_quantity not in ("f_hom", "g_hom"):
             raise ConfigError(f"unknown mc quantity {cfg.mc_quantity!r}")
-    if command == "sweep" and not cfg.zeta:
-        raise ConfigError("command 'sweep' requires at least one 'zeta'")
     if command in ("fhom", "finfhom", "ghom", "mc", "sweep") and not cfg.r_values:
         raise ConfigError(f"command {command!r} requires a non-empty 'r' schedule")
     if command == "mu" and not cfg.a_prime:
@@ -268,17 +265,8 @@ def _summary_row(est: HomEstimate):
 # ----------------------------------------------------------------------
 
 
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
+def run(config: RunConfig, out_dir=None) -> int:
     """Execute a parsed config and write artifacts; returns the exit code."""
-    jobs = config.jobs if jobs is None else jobs
-    tol_scale = config.tol_scale if tol_scale is None else tol_scale
     out = Path(out_dir if out_dir is not None else config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -302,22 +290,14 @@ def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
         sched = Schedule(config.r_values or (4.0, 8.0), config.h, config.k, config.center or None, nu)
 
         if config.command in ("fhom", "sweep"):
-            estimates += _parallel_map(lambda xi: estimate_f_hom(g, xi, sched, opts), config.xi, jobs)
+            estimates += [estimate_f_hom(g, xi, sched, opts) for xi in config.xi]
         if config.command == "finfhom":
             routes = ("hom_of_recession", "recession_of_hom") if config.route == "both" else (config.route,)
             for route in routes:
-                estimates += _parallel_map(
-                    lambda xi, rt=route: estimate_f_inf_hom(g, xi, rt, sched, opts, config.t_schedule),
-                    config.xi,
-                    jobs,
-                )
+                estimates += [estimate_f_inf_hom(g, xi, route, sched, opts, config.t_schedule) for xi in config.xi]
         if config.command in ("ghom", "sweep"):
             ginf = g.recession_integrand()
-            if not config.nu:
-                raise ConfigError(f"command {config.command!r} requires 'nu'")
-            estimates += _parallel_map(
-                lambda z: estimate_g_hom(ginf, z, config.nu, sched, opts), config.zeta, jobs
-            )
+            estimates += [estimate_g_hom(ginf, z, config.nu, sched, opts) for z in config.zeta]
         if config.command == "mc":
             if model is None:
                 raise ConfigError("command 'mc' requires a random integrand (checkerboard id)")
@@ -330,15 +310,13 @@ def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
         if config.command == "mu":
             if model is None:
                 raise ConfigError("command 'mu' requires a random integrand (checkerboard id)")
-            if not config.nu:
-                raise ConfigError("command 'mu' requires 'nu'")
             for zeta in config.zeta:
                 val = subadditive_process_eval(model, zeta, config.nu, config.a_prime, opts, config.h)
                 arg = _arg_str((zeta, np.asarray(config.nu)))
                 mu_rows.append(f"mu,{arg},0.0,,{_fmt(float(val))},{_fmt(float(val))},0,True,0")
         if config.command == "verify":
             checks = run_suite(
-                tol_scale=tol_scale,
+                tol_scale=config.tol_scale,
                 opts=opts,
                 include_routes=config.include_routes,
                 include_process=config.include_process,
@@ -394,8 +372,7 @@ def run(config: RunConfig, out_dir=None, jobs=None, tol_scale=None) -> int:
         f"format_version={config.format_version}",
         f"cellhom_version={__version__}",
         f"seeds={','.join(str(s) for s in config.seeds)}",
-        f"jobs={jobs}",
-        f"tol_scale={_fmt(tol_scale)}",
+        f"tol_scale={_fmt(config.tol_scale)}",
     ]
     (out / "manifest").write_text("\n".join(manifest) + "\n")
 
@@ -416,7 +393,6 @@ def main(argv=None) -> int:
         description="Effective bulk and cohesive surface densities of linear-growth phase-field energies.",
     )
     parser.add_argument("--config", required=True, help="path to a key=value run config")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed-override", type=int, default=None, help="replace the seed list")
     parser.add_argument("--tol-scale", type=float, default=None, help="scale verification tolerances")
@@ -437,7 +413,9 @@ def main(argv=None) -> int:
         width = max(len(config.seeds), 1)
         config.seeds = tuple(args.seed_override + i for i in range(width))
         config.raw_text += f"\n# seed-override={args.seed_override}\n"
-    return run(config, out_dir=args.out, jobs=args.jobs, tol_scale=args.tol_scale)
+    if args.tol_scale is not None:
+        config.tol_scale = args.tol_scale
+    return run(config, out_dir=args.out)
 
 
 if __name__ == "__main__":

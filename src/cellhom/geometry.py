@@ -440,13 +440,4 @@ def localize_integrand(cell: CellDomain, g: Integrand) -> Integrand:
         mats = np.asarray(xis, dtype=float) @ R.T
         return base_eval(pts, mats)
 
-    rec = None
-    if g.recession_eval is not None:
-        base_rec = g.recession_eval
-
-        def rec(points, xis):
-            pts = np.asarray(points, dtype=float) @ R.T + c
-            mats = np.asarray(xis, dtype=float) @ R.T
-            return base_rec(pts, mats)
-
-    return replace(g, id=f"{g.id}@local", generic_eval=gen, recession_eval=rec)
+    return replace(g, id=f"{g.id}@local", generic_eval=gen)

@@ -21,7 +21,7 @@ covariance and subadditivity underpin the ergodic limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -214,9 +214,7 @@ def mc_expectation(
     opts = opts or SolverOptions()
     values, results = [], []
     for seed in seeds:
-        realisation = RandomIntegrandModel(
-            master_seed=int(seed), a_min=model.a_min, a_max=model.a_max, base=model.base
-        )
+        realisation = replace(model, master_seed=int(seed))
         if quantity == "f_hom":
             xi = np.atleast_2d(np.asarray(argument, dtype=float))
             sched = Schedule((r,), h, k)

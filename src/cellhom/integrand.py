@@ -121,8 +121,6 @@ class Integrand:
     generic_eval: Optional[Callable] = None
     is_positively_homogeneous: bool = False
     has_closed_recession: bool = False
-    recession_eval: Optional[Callable] = None
-    recession_t_cap: float = RECESSION_T_CAP
 
     def __post_init__(self):
         # C > 0 is structural; whether the declared C actually bounds the
@@ -168,8 +166,6 @@ class Integrand:
         """Closed-form recession on a batch; requires has_closed_recession."""
         if not self.has_closed_recession:
             raise InputDomainError(f"integrand {self.id!r} has no closed recession")
-        if self.recession_eval is not None:
-            return np.asarray(self.recession_eval(points, xis), dtype=float)
         points = np.asarray(points, dtype=float)
         return self.coeff_cells(points) * self.recession_slope * _frob(xis)
 
@@ -196,7 +192,7 @@ class Integrand:
         # at the tightest tolerance the scaling cap allows
         if self.is_radial:
             M = self.C * (1.0 + (2.0 * self.C) ** (1.0 - self.alpha))
-            tol = max(1e-9, 2.0 * M / self.recession_t_cap**self.alpha)
+            tol = max(1e-9, 2.0 * M / RECESSION_T_CAP**self.alpha)
             slope = eval_recession(self, np.zeros(1), np.ones((1, 1)), tol=tol)
             g = replace(
                 self,
@@ -230,7 +226,7 @@ def eval_density(g: Integrand, x, xi) -> float:
     return g.eval(x, xi)
 
 
-def eval_recession(g: Integrand, x, xi, tol: float, t_cap: float | None = None) -> float:
+def eval_recession(g: Integrand, x, xi, tol: float) -> float:
     """Recession value f_inf(x, xi) within ``tol``.
 
     Uses the closed form when declared, otherwise returns f(x, T*xi)/T
@@ -247,13 +243,12 @@ def eval_recession(g: Integrand, x, xi, tol: float, t_cap: float | None = None) 
         return 0.0
     if g.has_closed_recession:
         return float(g.recession_cells(x[None, :], xi[None, :, :])[0])
-    cap = g.recession_t_cap if t_cap is None else t_cap
     M = g.C * (1.0 + (2.0 * g.C) ** (1.0 - g.alpha))
     T = max((M * norm / tol) ** (1.0 / g.alpha), 1.0)
-    if T > cap:
-        achieved = M * norm / cap**g.alpha
+    if T > RECESSION_T_CAP:
+        achieved = M * norm / RECESSION_T_CAP**g.alpha
         raise UnresolvedRecessionError(
-            f"recession of {g.id!r} needs scaling {T:.3g} beyond cap {cap:.3g}; "
+            f"recession of {g.id!r} needs scaling {T:.3g} beyond cap {RECESSION_T_CAP:.3g}; "
             f"achievable bound {achieved:.3g} > tol {tol:.3g}",
             achieved_bound=achieved,
         )
@@ -321,7 +316,7 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
             tol = 1e-12 * max(scale * norm, 1.0)
         else:
             M = C * (1.0 + (2.0 * C) ** (1.0 - g.alpha))
-            floor = 2.0 * M * scale * norm / g.recession_t_cap**g.alpha
+            floor = 2.0 * M * scale * norm / RECESSION_T_CAP**g.alpha
             tol = max(1e-8 * max(scale * norm, 1.0), floor)
         return eval_recession(g, x, xi, tol=tol), tol
 

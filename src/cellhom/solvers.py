@@ -158,25 +158,45 @@ def _smoothed_objective(cell, g, coeff, weights, delta, u_values, N):
     return cell.h**cell.n * float(np.sum(weights * vals)), m
 
 
-def _irls_minimize(cell, g, weights, boundary, delta, opts, u0, stats):
-    """Reweighted least squares on the radial smoothed energy.
+def minimize_u_given_v(
+    cell: CellDomain,
+    g: Integrand,
+    v: PhaseField | None,
+    boundary: VectorField,
+    delta: float,
+    opts: SolverOptions,
+    start: VectorField | None = None,
+    stats: dict | None = None,
+) -> VectorField:
+    """Approximate minimiser of the vbar^2-weighted, delta-smoothed energy.
 
-    Majorises profile(sqrt(q + delta^2)) linearly in q = |Du|^2, which is
-    valid for the catalog profiles (concave in q), and solves the
-    resulting weighted Laplacian exactly per iteration.  A vanishing
-    Tikhonov anchor to the previous iterate keeps the system definite
-    where the weight field vanishes and makes the flat-region tie-break
-    deterministic.
+    Dirichlet values are taken from ``boundary`` on every boundary node.
+    ``g`` must have the form coeff(x) * profile(|xi|) with a
+    ``profile_deriv``; other densities raise :class:`PreconditionError`.
 
-    Stops on the first rejected or non-finite step (``stalled``): the
-    next iteration would rebuild the same system from the same iterate.
+    Reweighted least squares: majorises profile(sqrt(q + delta^2))
+    linearly in q = |Du|^2, which is valid for the catalog profiles
+    (concave in q), and solves the resulting weighted Laplacian exactly
+    per iteration, so the energy never increases.  A vanishing Tikhonov
+    anchor to the previous iterate keeps the system definite where the
+    weight vanishes and makes the flat-region tie-break deterministic
+    (the previous iterate survives there).
+
+    Stops on the first rejected or non-finite step and returns the best
+    iterate with ``stalled`` set in ``stats``: the next iteration would
+    rebuild the same system from the same iterate.
     """
+    if delta <= 0:
+        raise InputDomainError("delta must be positive")
+    if not g.is_radial or g.profile_deriv is None:
+        raise PreconditionError(f"u-step needs a radial density with a profile derivative, got {g.id!r}")
     n, N, h = cell.n, boundary.N, cell.h
     op = cell.free_operator
+    weights = _cell_weights(cell, v)
     coeff = g.coeff_cells(cell.cell_centers_global)
     bmask = cell.boundary_mask
 
-    u = u0.copy()
+    u = (start.values if start is not None else boundary.values).copy()
     u[bmask] = boundary.values[bmask]
     E, m = _smoothed_objective(cell, g, coeff, weights, delta, u, N)
 
@@ -212,36 +232,8 @@ def _irls_minimize(cell, g, weights, boundary, delta, opts, u0, stats):
             stalled = True
             break
 
-    stats.update(iterations=it, objective=E, converged=converged, stalled=stalled)
-    return u
-
-
-def minimize_u_given_v(
-    cell: CellDomain,
-    g: Integrand,
-    v: PhaseField | None,
-    boundary: VectorField,
-    delta: float,
-    opts: SolverOptions,
-    start: VectorField | None = None,
-    stats: dict | None = None,
-) -> VectorField:
-    """Approximate minimiser of the vbar^2-weighted, delta-smoothed energy.
-
-    Dirichlet values are taken from ``boundary`` on every boundary node;
-    the energy never increases across inner iterations.  Where the weight
-    vanishes the previous iterate survives (deterministic tie-break).
-    On a stalled step the best iterate is returned with ``stalled`` set
-    in ``stats``.  ``g`` must have the form coeff(x) * profile(|xi|) with
-    a ``profile_deriv``; other densities raise :class:`PreconditionError`.
-    """
-    if delta <= 0:
-        raise InputDomainError("delta must be positive")
-    if not g.is_radial or g.profile_deriv is None:
-        raise PreconditionError(f"u-step needs a radial density with a profile derivative, got {g.id!r}")
-    weights = _cell_weights(cell, v)
-    u0 = (start.values if start is not None else boundary.values).copy()
-    u = _irls_minimize(cell, g, weights, boundary, delta, opts, u0, {} if stats is None else stats)
+    if stats is not None:
+        stats.update(iterations=it, objective=E, converged=converged, stalled=stalled)
     return VectorField(cell, u)
 
 
@@ -255,7 +247,6 @@ def minimize_v_given_u(
     ginf: Integrand,
     u: VectorField,
     eta: float,
-    opts: SolverOptions,
 ) -> PhaseField:
     """Exact minimiser of the surface energy in v at fixed u.
 
@@ -384,7 +375,7 @@ def solve_surface_cell(
         for _ in range(opts.am_max_iters):
             stats = {}
             u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, opts, start=u_run, stats=stats)
-            v_try = minimize_v_given_u(cell, ginf, u_try, opts.v_floor, opts)
+            v_try = minimize_v_given_u(cell, ginf, u_try, opts.v_floor)
             E_try = surface_energy(cell, ginf, u_try, v_try).total
             sweeps += 1
             if E_try < best_E:

@@ -86,7 +86,6 @@ include_routes = yes
 include_process = true
 out = runs/x
 format_version = 1
-jobs = 2
 """
         )
         assert cfg.command == "finfhom" and cfg.integrand == "area"
@@ -97,7 +96,7 @@ jobs = 2
         assert cfg.route == "hom_of_recession" and cfg.a_prime == ((0.0, 1.0), (2.0, 3.0))
         assert cfg.mc_quantity == "g_hom" and cfg.tol_scale == 2.5
         assert cfg.include_routes is True and cfg.include_process is True
-        assert cfg.out == "runs/x" and cfg.format_version == 1 and cfg.jobs == 2
+        assert cfg.out == "runs/x" and cfg.format_version == 1
         assert cfg.solver == SolverOptions(
             delta_schedule=(0.1, 0.01), am_max_iters=7, am_rel_tol=1e-5, inner_tol=1e-4, u_max_iters=9, v_floor=0.2
         )
@@ -212,9 +211,11 @@ class TestVerifyCommand:
             return []
 
         monkeypatch.setattr(cli_mod, "run_suite", fake)
-        cfg = parse_config("command = verify\n")
-        run(cfg, out_dir=tmp_path / "out", tol_scale=2.5)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("command = verify\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--tol-scale", "2.5"]) == 0
         assert seen["tol_scale"] == 2.5
+        assert "tol_scale=2.5" in (tmp_path / "out" / "manifest").read_text().splitlines()
 
 
 class TestMain:
@@ -239,6 +240,16 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("cellhom: config error: invalid solver options")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ghom", "sweep", "mu"])
+    def test_missing_nu_is_config_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            f"command = {command}\nintegrand = checkerboard:3,1,2\nxi = 1,0\nzeta = 1\nr = 4\na_prime = 0:1\n"
+        )
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: config error: command {command!r} requires 'nu'\n"
         assert not (tmp_path / "out").exists()
 
     def test_seed_override_rebases_list(self, tmp_path):

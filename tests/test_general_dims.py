@@ -7,7 +7,7 @@ from cellhom.fields import PhaseField, affine_datum, bulk_energy, surface_energy
 from cellhom.geometry import make_cell
 from cellhom.homogenise import Schedule, estimate_f_hom
 from cellhom.integrand import euclid, laminate
-from cellhom.solvers import SolverOptions, minimize_v_given_u, solve_bulk_cell, solve_surface_cell
+from cellhom.solvers import minimize_v_given_u, solve_bulk_cell, solve_surface_cell
 
 
 class TestElongatedCells:
@@ -38,7 +38,7 @@ class TestVectorValued:
     def test_v_step_with_vector_field(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         u = affine_datum(cell, np.array([[0.2, 0.0], [0.0, 0.3]]))
-        v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        v = minimize_v_given_u(cell, euclid(), u, 0.0)
         assert v.values.shape == cell.node_shape
         assert np.all(v.values <= 1.0) and np.all(v.values > 0.5)
 

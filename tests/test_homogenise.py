@@ -112,6 +112,19 @@ class TestMonteCarlo:
         hi = 2.0 * 2.0 / 3.0
         assert lo * 0.8 <= est.ensemble["mean"] <= hi * 1.2
 
+    def test_shifted_model_keeps_offset(self):
+        xi = np.array([[1.0, 0.0]])
+        z = (3, -2)
+        est = mc_expectation(shift(make_checkerboard(0, 1.0, 2.0), z), "f_hom", xi, seeds=[1, 2], r=2.0, h=0.5)
+
+        def cell_value(model):
+            return estimate_f_hom(model.realise(), xi, Schedule((2.0,), 0.5, 1)).extrapolated
+
+        per_seed = [cell_value(shift(make_checkerboard(s, 1.0, 2.0), z)) for s in (1, 2)]
+        unshifted = [cell_value(make_checkerboard(s, 1.0, 2.0)) for s in (1, 2)]
+        assert per_seed != unshifted  # the shift moves the cell onto other coefficients
+        assert est.ensemble["values"].tolist() == per_seed
+
 
 class TestSubadditiveProcess:
     def test_axis_normal_period_one(self):

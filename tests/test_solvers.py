@@ -140,7 +140,7 @@ class TestFreeNodeOperator:
         cell, zeta = EQUIVALENCE_CELLS[name]
         u = jump_datum(cell, zeta, cell.rotation.nu, eps_width=2 * cell.h)
         u = VectorField(cell, u.values + 0.2 * rng.standard_normal(u.values.shape))
-        v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        v = minimize_v_given_u(cell, euclid(), u, 0.0)
         assert v.values.min() < 0.99
         assert relative_gap(v.values, reference_v_step(cell, euclid(), u, 0.0)) <= 1e-12
 
@@ -323,7 +323,7 @@ class TestMinimizeVGivenU:
     def test_constant_u_gives_ones(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         u = VectorField(cell, np.zeros(cell.node_shape + (1,)))
-        v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        v = minimize_v_given_u(cell, euclid(), u, 0.0)
         np.testing.assert_allclose(v.values, 1.0, atol=1e-12)
 
     def test_decay_length_against_analytic_profile(self):
@@ -332,7 +332,7 @@ class TestMinimizeVGivenU:
         cell = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
         zn = cell.local_nodes[..., -1]
         u = VectorField(cell, np.where(zn > 1e-12, 10.0, 0.0)[..., None])
-        v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        v = minimize_v_given_u(cell, euclid(), u, 0.0)
         # anchor one node past the carrying cell: both of its corner nodes
         # are dipped, the exponential recovery starts from the next node
         idx = np.flatnonzero(np.isclose(zn, cell.h))[0]
@@ -348,7 +348,7 @@ class TestMinimizeVGivenU:
         zn = cell.local_nodes[..., -1]
         s = 2.0
         u = VectorField(cell, np.where(zn > 1e-12, s, 0.0)[..., None])
-        v = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        v = minimize_v_given_u(cell, euclid(), u, 0.0)
         assert v.values.min() == pytest.approx(2.0 / (s + 2.0), rel=0.10)
 
     def test_non_finite_solve_is_a_breakdown(self, monkeypatch):
@@ -356,14 +356,14 @@ class TestMinimizeVGivenU:
         u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
         monkeypatch.setattr(cellhom.solvers, "cho_solve_banded", lambda cb, b, **kw: np.full(b.shape, np.nan))
         with pytest.raises(SolverBreakdown, match="non-finite"):
-            minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+            minimize_v_given_u(cell, euclid(), u, 0.0)
 
     def test_improves_on_previous_phase(self, rng):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
         v_prev = PhaseField(cell, rng.uniform(0.3, 1.0, size=cell.node_shape))
         v_prev.values[cell.boundary_mask] = 1.0
-        v_new = minimize_v_given_u(cell, euclid(), u, 0.0, SolverOptions())
+        v_new = minimize_v_given_u(cell, euclid(), u, 0.0)
         e_prev = surface_energy(cell, euclid(), u, v_prev).total
         e_new = surface_energy(cell, euclid(), u, v_new).total
         assert e_new <= e_prev + 1e-9
