@@ -55,7 +55,6 @@ from .integrand import (
 from .solvers import (
     CellResult,
     SolverBreakdown,
-    SolverOptions,
     minimize_u_given_v,
     minimize_v_given_u,
     solve_bulk_cell,

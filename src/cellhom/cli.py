@@ -36,8 +36,8 @@ from .homogenise import (
     mc_expectation,
     subadditive_process_eval,
 )
-from .integrand import InputDomainError, RandomIntegrandModel, resolve
-from .solvers import SolverBreakdown, SolverOptions
+from .integrand import RandomIntegrandModel, resolve
+from .solvers import SolverBreakdown
 from .verify import run_suite
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -66,7 +66,6 @@ class RunConfig:
     route: str = "both"
     a_prime: tuple = ()  # ((lo, hi), ...)
     mc_quantity: str = "f_hom"
-    solver: SolverOptions = field(default_factory=SolverOptions)
     tol_scale: float = 1.0
     include_routes: bool = False
     include_process: bool = False
@@ -128,21 +127,10 @@ _CONFIG_KEYS = {
     "format_version": ("format_version", int),
 }
 
-# config key -> parser of the SolverOptions field of the same name
-_SOLVER_KEYS = {
-    "delta_schedule": _parse_floats,
-    "am_rel_tol": float,
-    "am_max_iters": int,
-    "inner_tol": float,
-    "u_max_iters": int,
-    "v_floor": float,
-}
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a key=value config; unknown keys are rejected."""
     cfg = RunConfig(command=None, raw_text=text)
-    solver_kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,27 +138,17 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key in _CONFIG_KEYS:
-            name, parse = _CONFIG_KEYS[key]
-        elif key in _SOLVER_KEYS:
-            name, parse = key, _SOLVER_KEYS[key]
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
         try:
             value = parse(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key!r}: {exc}") from exc
-        if key in _SOLVER_KEYS:
-            solver_kwargs[name] = value
-        elif isinstance(getattr(cfg, name), list):
+        if isinstance(getattr(cfg, name), list):
             getattr(cfg, name).append(value)
         else:
             setattr(cfg, name, value)
-    if solver_kwargs:
-        try:
-            cfg.solver = SolverOptions(**solver_kwargs)
-        except InputDomainError as exc:
-            raise ConfigError(f"invalid solver options: {exc}") from exc
 
     command = cfg.command
     if command is None:
@@ -268,6 +246,15 @@ def _summary_row(est: HomEstimate):
 def run(config: RunConfig, out_dir=None) -> int:
     """Execute a parsed config and write artifacts; returns the exit code."""
     out = Path(out_dir if out_dir is not None else config.out)
+    # reject an unusable integrand before the output directory exists
+    try:
+        integrand_or_model = resolve(config.integrand)
+        model = integrand_or_model if isinstance(integrand_or_model, RandomIntegrandModel) else None
+        if config.command in ("mc", "mu") and model is None:
+            raise ConfigError(f"command {config.command!r} requires a random integrand (checkerboard id)")
+    except ValueError as exc:
+        print(f"cellhom: {exc}", file=sys.stderr)
+        return 1
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -277,47 +264,34 @@ def run(config: RunConfig, out_dir=None) -> int:
     estimates: list[HomEstimate] = []
     mu_rows: list[str] = []
     checks = []
-    opts = config.solver
     try:
-        integrand_or_model = resolve(config.integrand)
-        if isinstance(integrand_or_model, RandomIntegrandModel):
-            model = integrand_or_model
-            g = model.realise()
-        else:
-            model = None
-            g = integrand_or_model
+        g = integrand_or_model if model is None else model.realise()
         nu = config.nu or None
         sched = Schedule(config.r_values or (4.0, 8.0), config.h, config.k, config.center or None, nu)
 
         if config.command in ("fhom", "sweep"):
-            estimates += [estimate_f_hom(g, xi, sched, opts) for xi in config.xi]
+            estimates += [estimate_f_hom(g, xi, sched) for xi in config.xi]
         if config.command == "finfhom":
             routes = ("hom_of_recession", "recession_of_hom") if config.route == "both" else (config.route,)
             for route in routes:
-                estimates += [estimate_f_inf_hom(g, xi, route, sched, opts, config.t_schedule) for xi in config.xi]
+                estimates += [estimate_f_inf_hom(g, xi, route, sched, config.t_schedule) for xi in config.xi]
         if config.command in ("ghom", "sweep"):
             ginf = g.recession_integrand()
-            estimates += [estimate_g_hom(ginf, z, config.nu, sched, opts) for z in config.zeta]
+            estimates += [estimate_g_hom(ginf, z, config.nu, sched) for z in config.zeta]
         if config.command == "mc":
-            if model is None:
-                raise ConfigError("command 'mc' requires a random integrand (checkerboard id)")
             argument = config.xi[0] if config.mc_quantity == "f_hom" else (config.zeta[0], config.nu)
-            for r in config.r_values:
-                est = mc_expectation(
-                    model, config.mc_quantity, argument, config.seeds, r, config.h, opts, config.k
-                )
-                estimates.append(est)
+            estimates += [
+                mc_expectation(model, config.mc_quantity, argument, config.seeds, r, config.h, config.k)
+                for r in config.r_values
+            ]
         if config.command == "mu":
-            if model is None:
-                raise ConfigError("command 'mu' requires a random integrand (checkerboard id)")
             for zeta in config.zeta:
-                val = subadditive_process_eval(model, zeta, config.nu, config.a_prime, opts, config.h)
+                val = subadditive_process_eval(model, zeta, config.nu, config.a_prime, config.h)
                 arg = _arg_str((zeta, np.asarray(config.nu)))
                 mu_rows.append(f"mu,{arg},0.0,,{_fmt(float(val))},{_fmt(float(val))},0,True,0")
         if config.command == "verify":
             checks = run_suite(
                 tol_scale=config.tol_scale,
-                opts=opts,
                 include_routes=config.include_routes,
                 include_process=config.include_process,
             )

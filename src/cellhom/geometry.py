@@ -106,8 +106,7 @@ class CellDomain:
 
     ``lo`` is the local lower corner, ``dims`` the number of grid cells
     per axis, ``h`` the uniform spacing; the realised side along axis i
-    is dims[i] * h.  ``side`` and ``elongation`` record the nominal
-    construction parameters of centred cube cells (0 for raw boxes).
+    is dims[i] * h.
     """
 
     center: np.ndarray
@@ -115,8 +114,6 @@ class CellDomain:
     h: float
     lo: np.ndarray
     dims: tuple
-    side: float = 0.0
-    elongation: int = 1
 
     @property
     def n(self):
@@ -366,7 +363,7 @@ def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:
     lo.setflags(write=False)
     center = center.copy()
     center.setflags(write=False)
-    return CellDomain(center=center, rotation=rot, h=float(h), lo=lo, dims=dims, side=float(side), elongation=int(k))
+    return CellDomain(center=center, rotation=rot, h=float(h), lo=lo, dims=dims)
 
 
 def make_box_cell(nu, lo, hi, h, center=None) -> CellDomain:

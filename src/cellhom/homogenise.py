@@ -28,7 +28,7 @@ import numpy as np
 
 from .geometry import make_box_cell, make_cell, rotation_for_normal
 from .integrand import InputDomainError, Integrand, RandomIntegrandModel
-from .solvers import SolverOptions, solve_bulk_cell, solve_surface_cell
+from .solvers import solve_bulk_cell, solve_surface_cell
 
 __all__ = [
     "Schedule",
@@ -114,19 +114,13 @@ class HomEstimate:
         )
 
 
-def estimate_f_hom(
-    g: Integrand,
-    xi,
-    schedule: Schedule,
-    opts: SolverOptions | None = None,
-) -> HomEstimate:
+def estimate_f_hom(g: Integrand, xi, schedule: Schedule) -> HomEstimate:
     """Scaled bulk minima m_b(affine xi, Q_r(r x)) / volume along the schedule."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    opts = opts or SolverOptions()
     results, scaled = [], []
     for r in schedule.r_values:
         cell = schedule.cell(r, xi.shape[1])
-        res = solve_bulk_cell(cell, g, xi, opts)
+        res = solve_bulk_cell(cell, g, xi)
         results.append(res)
         scaled.append(res.value / cell.volume)
     return HomEstimate.from_runs("f_hom", (xi.copy(),), schedule.r_values, scaled, results)
@@ -137,7 +131,6 @@ def estimate_f_inf_hom(
     xi,
     route: str,
     schedule: Schedule,
-    opts: SolverOptions | None = None,
     t_schedule: Sequence[float] = (8.0, 32.0, 128.0),
 ) -> HomEstimate:
     """Effective recession density by one of two routes.
@@ -148,10 +141,9 @@ def estimate_f_inf_hom(
     estimate the same quantity.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    opts = opts or SolverOptions()
     if route == "hom_of_recession":
         ginf = g.recession_integrand()
-        est = estimate_f_hom(ginf, xi, schedule, opts)
+        est = estimate_f_hom(ginf, xi, schedule)
         return HomEstimate.from_runs(
             "f_inf_hom", (xi.copy(),), est.r_values, est.scaled_values, est.per_r_results, route=route
         )
@@ -160,7 +152,7 @@ def estimate_f_inf_hom(
         # scaled value), so report rows stay aligned with the t-schedule
         values, results = [], []
         for t in t_schedule:
-            est = estimate_f_hom(g, t * xi, schedule, opts)
+            est = estimate_f_hom(g, t * xi, schedule)
             values.append(est.extrapolated / t)
             results.append(est.per_r_results[-1])
         return HomEstimate.from_runs(
@@ -169,22 +161,15 @@ def estimate_f_inf_hom(
     raise InputDomainError(f"unknown route {route!r}")
 
 
-def estimate_g_hom(
-    ginf: Integrand,
-    zeta,
-    nu,
-    schedule: Schedule,
-    opts: SolverOptions | None = None,
-) -> HomEstimate:
+def estimate_g_hom(ginf: Integrand, zeta, nu, schedule: Schedule) -> HomEstimate:
     """Scaled interface minima m_s(jump, Q^nu_r(r x)) / cross-section."""
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
-    opts = opts or SolverOptions()
     sched = Schedule(schedule.r_values, schedule.h, 1, schedule.center, tuple(nu))
     results, scaled = [], []
     for r in sched.r_values:
         cell = sched.cell(r, nu.shape[0])
-        res = solve_surface_cell(cell, ginf, zeta, nu, opts)
+        res = solve_surface_cell(cell, ginf, zeta, nu)
         results.append(res)
         scaled.append(res.value / cell.cross_section)
     return HomEstimate.from_runs("g_hom", (zeta.copy(), nu.copy()), sched.r_values, scaled, results)
@@ -197,7 +182,6 @@ def mc_expectation(
     seeds: Sequence[int],
     r: float,
     h: float = 0.25,
-    opts: SolverOptions | None = None,
     k: int = 1,
 ) -> HomEstimate:
     """Ensemble of scaled cell values over seed-indexed realisations.
@@ -211,18 +195,17 @@ def mc_expectation(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InputDomainError("Monte Carlo needs at least 2 seeds")
-    opts = opts or SolverOptions()
     values, results = [], []
     for seed in seeds:
         realisation = replace(model, master_seed=int(seed))
         if quantity == "f_hom":
             xi = np.atleast_2d(np.asarray(argument, dtype=float))
             sched = Schedule((r,), h, k)
-            est = estimate_f_hom(realisation.realise(), xi, sched, opts)
+            est = estimate_f_hom(realisation.realise(), xi, sched)
         elif quantity == "g_hom":
             zeta, nu = argument
             sched = Schedule((r,), h, 1, None, tuple(np.asarray(nu, dtype=float)))
-            est = estimate_g_hom(realisation.realise().recession_integrand(), zeta, nu, sched, opts)
+            est = estimate_g_hom(realisation.realise().recession_integrand(), zeta, nu, sched)
         else:
             raise InputDomainError(f"unknown Monte Carlo quantity {quantity!r}")
         values.append(est.extrapolated)
@@ -259,7 +242,6 @@ def subadditive_process_eval(
     zeta,
     nu,
     a_prime,
-    opts: SolverOptions | None = None,
     h: float = 0.25,
     cap: int = 64,
 ) -> float:
@@ -273,7 +255,6 @@ def subadditive_process_eval(
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
-    opts = opts or SolverOptions()
     n = nu.shape[0]
     pairs = [tuple(float(v) for v in p) for p in a_prime]
     if len(pairs) != n - 1 or any(b <= a for a, b in pairs):
@@ -283,5 +264,5 @@ def subadditive_process_eval(
     lo = np.array([a for a, _ in pairs] + [-c]) * M
     hi = np.array([b for _, b in pairs] + [c]) * M
     cell = make_box_cell(rot, lo, hi, h)
-    res = solve_surface_cell(cell, model.realise().recession_integrand(), zeta, nu, opts, datum_width=1.0)
+    res = solve_surface_cell(cell, model.realise().recession_integrand(), zeta, nu, datum_width=1.0)
     return res.value / M ** (n - 1)

@@ -105,6 +105,7 @@ class Integrand:
     recession_slope : float or None
         lim_{s->inf} profile(s)/s when available in closed form; the
         closed recession is then coeff(x) * recession_slope * |xi|.
+        ``None`` means the recession is evaluated by t-scaling.
     generic_eval : callable or None
         Batch evaluator (points (M, n), xis (M, N, n)) -> (M,) for
         densities without radial structure.  When set, it takes
@@ -120,7 +121,6 @@ class Integrand:
     recession_slope: Optional[float] = None
     generic_eval: Optional[Callable] = None
     is_positively_homogeneous: bool = False
-    has_closed_recession: bool = False
 
     def __post_init__(self):
         # C > 0 is structural; whether the declared C actually bounds the
@@ -163,8 +163,8 @@ class Integrand:
         return float(self.eval_cells(x[None, :], xi[None, :, :])[0])
 
     def recession_cells(self, points, xis):
-        """Closed-form recession on a batch; requires has_closed_recession."""
-        if not self.has_closed_recession:
+        """Closed-form recession on a batch; requires a ``recession_slope``."""
+        if self.recession_slope is None:
             raise InputDomainError(f"integrand {self.id!r} has no closed recession")
         points = np.asarray(points, dtype=float)
         return self.coeff_cells(points) * self.recession_slope * _frob(xis)
@@ -175,35 +175,22 @@ class Integrand:
 
     def recession_integrand(self):
         """The recession density as a standalone 1-homogeneous integrand."""
-        if self.has_closed_recession and self.is_radial:
-            slope = self.recession_slope
-            return Integrand(
-                id=f"recession({self.id})",
-                C=self.C,
-                alpha=self.alpha,
-                coeff=self.coeff,
-                profile=lambda s, k=slope: k * s,
-                profile_deriv=lambda s, k=slope: np.full_like(np.asarray(s, dtype=float), k),
-                recession_slope=slope,
-                is_positively_homogeneous=True,
-                has_closed_recession=True,
-            )
-        # numeric recession: certify the radial slope once via the t-scaling,
-        # at the tightest tolerance the scaling cap allows
         if self.is_radial:
-            M = self.C * (1.0 + (2.0 * self.C) ** (1.0 - self.alpha))
-            tol = max(1e-9, 2.0 * M / RECESSION_T_CAP**self.alpha)
-            slope = eval_recession(self, np.zeros(1), np.ones((1, 1)), tol=tol)
-            g = replace(
+            slope = self.recession_slope
+            if slope is None:
+                # numeric recession: certify the radial slope once via the
+                # t-scaling, at the tightest tolerance the scaling cap allows
+                M = self.C * (1.0 + (2.0 * self.C) ** (1.0 - self.alpha))
+                tol = max(1e-9, 2.0 * M / RECESSION_T_CAP**self.alpha)
+                slope = eval_recession(self, np.zeros(1), np.ones((1, 1)), tol=tol)
+            return replace(
                 self,
                 id=f"recession({self.id})",
                 profile=lambda s, k=slope: k * s,
                 profile_deriv=lambda s, k=slope: np.full_like(np.asarray(s, dtype=float), k),
                 recession_slope=slope,
                 is_positively_homogeneous=True,
-                has_closed_recession=True,
             )
-            return g
         raise InputDomainError(f"cannot build a recession integrand for {self.id!r}")
 
     @staticmethod
@@ -241,7 +228,7 @@ def eval_recession(g: Integrand, x, xi, tol: float) -> float:
     norm = float(_frob(xi[None, :, :])[0])
     if norm == 0.0:
         return 0.0
-    if g.has_closed_recession:
+    if g.recession_slope is not None:
         return float(g.recession_cells(x[None, :], xi[None, :, :])[0])
     M = g.C * (1.0 + (2.0 * g.C) ** (1.0 - g.alpha))
     T = max((M * norm / tol) ** (1.0 / g.alpha), 1.0)
@@ -312,7 +299,7 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
 
     def recession(x, xi, norm, scale=1.0):
         # pick a tolerance achievable under the t-cap for numeric recessions
-        if g.has_closed_recession:
+        if g.recession_slope is not None:
             tol = 1e-12 * max(scale * norm, 1.0)
         else:
             M = C * (1.0 + (2.0 * C) ** (1.0 - g.alpha))
@@ -481,7 +468,6 @@ def euclid() -> Integrand:
         profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         recession_slope=1.0,
         is_positively_homogeneous=True,
-        has_closed_recession=True,
     )
 
 
@@ -495,7 +481,6 @@ def area() -> Integrand:
         profile_deriv=lambda s: np.asarray(s, dtype=float) / np.sqrt(1.0 + np.asarray(s, dtype=float) ** 2),
         recession_slope=1.0,
         is_positively_homogeneous=False,
-        has_closed_recession=True,
     )
 
 
@@ -523,7 +508,6 @@ def laminate(a_soft=1.0, a_hard=2.0, segment=1.0, axis=0) -> Integrand:
         profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         recession_slope=1.0,
         is_positively_homogeneous=True,
-        has_closed_recession=True,
     )
 
 

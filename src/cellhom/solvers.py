@@ -17,8 +17,7 @@ energies are always evaluated with the unsmoothed density, so every
 returned value is a true upper bound of the discrete minimum.
 
 The v-step is exact: the surface energy is a convex quadratic in the
-nodal phase values, solved directly, then clamped to [v_floor, 1];
-boundary nodes stay 1.
+nodal phase values, solved directly; boundary nodes stay 1.
 
 Both steps scatter their cell weights into the free-free block of the
 cell's ``free_operator`` (see :class:`cellhom.geometry.FreeNodeOperator`)
@@ -31,6 +30,14 @@ Alternating minimisation keeps the best (lowest unsmoothed energy) pair
 seen; the recorded energy trace contains accepted energies only and is
 therefore non-increasing by construction.  ``converged`` holds only when
 every smoothing level ended on its energy-decrease test.
+
+The solver settings are module constants, the same for every cell
+solve: ``DELTA_SCHEDULE`` (the strictly decreasing smoothing
+parameters), ``AM_MAX_ITERS`` (alternating sweeps per smoothing level),
+``AM_REL_TOL`` (the relative energy decrease that ends a level),
+``INNER_TOL`` (the relative decrease, scaled by max(1, |objective|),
+that ends a u-step) and ``U_MAX_ITERS`` (IRLS iterations per u-step).
+The solvers read them at call time.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ from .geometry import CellDomain
 from .integrand import InputDomainError, Integrand
 
 __all__ = [
-    "SolverOptions",
     "CellResult",
     "SolverBreakdown",
     "minimize_u_given_v",
@@ -68,34 +74,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the cell-problem solvers.
-
-    delta_schedule : strictly decreasing positive smoothing parameters.
-    am_max_iters   : alternating sweeps allowed per smoothing level.
-    am_rel_tol     : relative energy-decrease threshold that ends a level.
-    inner_tol      : relative decrease / projected-gradient tolerance of
-                     the inner u-solver (scaled by max(1, |objective|)).
-    u_max_iters    : inner iterations allowed per u-step.
-    v_floor        : optional lower clamp on the phase field (eta).
-    """
-
-    delta_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-    am_max_iters: int = 80
-    am_rel_tol: float = 1e-7
-    inner_tol: float = 1e-7
-    u_max_iters: int = 1200
-    v_floor: float = 0.0
-
-    def __post_init__(self):
-        ds = tuple(float(d) for d in self.delta_schedule)
-        if not ds or ds[-1] <= 0 or any(a <= b for a, b in zip(ds, ds[1:])):
-            raise InputDomainError("delta_schedule must be strictly decreasing and positive")
-        if self.am_rel_tol <= 0 or self.inner_tol <= 0:
-            raise InputDomainError("tolerances must be positive")
-        if not (0.0 <= self.v_floor < 1.0):
-            raise InputDomainError("v_floor must lie in [0, 1)")
+DELTA_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+AM_MAX_ITERS = 80
+AM_REL_TOL = 1e-7
+INNER_TOL = 1e-7
+U_MAX_ITERS = 1200
 
 
 @dataclass(eq=False)
@@ -164,7 +147,6 @@ def minimize_u_given_v(
     v: PhaseField | None,
     boundary: VectorField,
     delta: float,
-    opts: SolverOptions,
     start: VectorField | None = None,
     stats: dict | None = None,
 ) -> VectorField:
@@ -202,7 +184,7 @@ def minimize_u_given_v(
 
     it = 0
     converged = stalled = False
-    while it < opts.u_max_iters:
+    while it < U_MAX_ITERS:
         it += 1
         sigma = coeff * np.asarray(g.profile_deriv(m), dtype=float) / (2.0 * m)
         om = (h**n) * weights * 2.0 * sigma / h**2
@@ -222,7 +204,7 @@ def minimize_u_given_v(
         u_new = u.copy()
         u_new.reshape(-1, N)[op.free] = _solve_free(op, store, rhs)
         E_new, m_new = _smoothed_objective(cell, g, coeff, weights, delta, u_new, N)
-        done = abs(E - E_new) <= opts.inner_tol * max(1.0, abs(E))
+        done = abs(E - E_new) <= INNER_TOL * max(1.0, abs(E))
         if E_new <= E:
             u, E, m = u_new, E_new, m_new
         if done:
@@ -242,18 +224,13 @@ def minimize_u_given_v(
 # ----------------------------------------------------------------------
 
 
-def minimize_v_given_u(
-    cell: CellDomain,
-    ginf: Integrand,
-    u: VectorField,
-    eta: float,
-) -> PhaseField:
+def minimize_v_given_u(cell: CellDomain, ginf: Integrand, u: VectorField) -> PhaseField:
     """Exact minimiser of the surface energy in v at fixed u.
 
     The energy is quadratic in the nodal phase values with cell weights
     W_c = ginf(y_c, Du_c) >= 0; the stationarity system is symmetric
-    positive definite and solved directly, then the solution is clamped
-    to [eta, 1] and boundary nodes are reset to 1.
+    positive definite and solved directly; boundary nodes are 1.
+    :class:`PhaseField` clamps the solution to [0, 1].
     """
     n = cell.n
     hn = cell.h**n
@@ -275,7 +252,6 @@ def minimize_v_given_u(
     vvals[op.free] = _solve_free(op, store, rhs)[:, 0]
     if not np.all(np.isfinite(vvals)):
         raise SolverBreakdown("phase solve broke down: non-finite solution")
-    vvals = np.clip(vvals, max(eta, 0.0), 1.0)
     return PhaseField(cell, vvals.reshape(cell.node_shape))
 
 
@@ -284,7 +260,7 @@ def minimize_v_given_u(
 # ----------------------------------------------------------------------
 
 
-def solve_bulk_cell(cell: CellDomain, g: Integrand, xi, opts: SolverOptions | None = None) -> CellResult:
+def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     """Minimise the bulk energy with affine boundary datum xi . y.
 
     Starts from the affine field (which is also the competitor bound:
@@ -292,7 +268,6 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi, opts: SolverOptions | No
     smoothed minimisation over the delta schedule; the reported value is
     the unsmoothed energy of the best iterate.
     """
-    opts = opts or SolverOptions()
     bdata = affine_datum(cell, xi)
     u_run = bdata.copy()
     best_u = u_run
@@ -300,9 +275,9 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi, opts: SolverOptions | No
     trace = [best_E]
     iters = 0
     converged = True
-    for delta in opts.delta_schedule:
+    for delta in DELTA_SCHEDULE:
         stats = {}
-        u_try = minimize_u_given_v(cell, g, None, bdata, delta, opts, start=u_run, stats=stats)
+        u_try = minimize_u_given_v(cell, g, None, bdata, delta, start=u_run, stats=stats)
         iters += stats["iterations"]
         E_try = bulk_energy(cell, g, u_try)
         if E_try < best_E:
@@ -342,7 +317,6 @@ def solve_surface_cell(
     ginf: Integrand,
     zeta,
     nu,
-    opts: SolverOptions | None = None,
     datum_width: float | None = None,
 ) -> CellResult:
     """Alternating minimisation of the interface cell problem.
@@ -354,7 +328,6 @@ def solve_surface_cell(
     unsmoothed surface energy of the best pair and never exceeds the
     energy of the initial pair.
     """
-    opts = opts or SolverOptions()
     if not ginf.is_positively_homogeneous:
         raise PreconditionError(f"surface solve needs a 1-homogeneous density, got {ginf.id!r}")
     nu = np.asarray(nu, dtype=float).reshape(-1)
@@ -371,11 +344,11 @@ def solve_surface_cell(
     sweeps = 0
     converged = True
     E_prev = best_E
-    for delta in opts.delta_schedule:
-        for _ in range(opts.am_max_iters):
+    for delta in DELTA_SCHEDULE:
+        for _ in range(AM_MAX_ITERS):
             stats = {}
-            u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, opts, start=u_run, stats=stats)
-            v_try = minimize_v_given_u(cell, ginf, u_try, opts.v_floor)
+            u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, start=u_run, stats=stats)
+            v_try = minimize_v_given_u(cell, ginf, u_try)
             E_try = surface_energy(cell, ginf, u_try, v_try).total
             sweeps += 1
             if E_try < best_E:
@@ -383,7 +356,7 @@ def solve_surface_cell(
                 trace.append(E_try)
             drop = E_prev - E_try
             u_run, v_run, E_prev = u_try, v_try, E_try
-            if drop <= opts.am_rel_tol * max(1.0, abs(E_try)):
+            if drop <= AM_REL_TOL * max(1.0, abs(E_try)):
                 break
         else:
             # this level ran out of sweeps; later levels do not undo that

@@ -31,7 +31,6 @@ from .homogenise import (
     subadditive_process_eval,
 )
 from .integrand import InputDomainError, Integrand, RandomIntegrandModel, shift
-from .solvers import SolverOptions
 
 __all__ = [
     "PropertyCheck",
@@ -127,7 +126,6 @@ def check_fhom_lipschitz(
 def check_fhom_rank_one_convexity(
     g: Integrand,
     schedule: Schedule,
-    opts: SolverOptions | None = None,
     lines: int = 3,
     step: float = 0.75,
     rel_slack: float = 0.02,
@@ -142,16 +140,15 @@ def check_fhom_rank_one_convexity(
     up to relative slack.
     """
     rng = np.random.default_rng(seed)
-    opts = opts or SolverOptions()
     margin = -np.inf
     for _ in range(lines):
         xi0 = rng.normal(size=(N, n))
         a = rng.normal(size=N)
         b = rng.normal(size=n)
         rank1 = np.outer(a, b) / max(_norm(np.outer(a, b)), 1e-12)
-        mid = estimate_f_hom(g, xi0, schedule, opts).extrapolated
-        left = estimate_f_hom(g, xi0 - step * rank1, schedule, opts).extrapolated
-        right = estimate_f_hom(g, xi0 + step * rank1, schedule, opts).extrapolated
+        mid = estimate_f_hom(g, xi0, schedule).extrapolated
+        left = estimate_f_hom(g, xi0 - step * rank1, schedule).extrapolated
+        right = estimate_f_hom(g, xi0 + step * rank1, schedule).extrapolated
         chord = 0.5 * (left + right)
         margin = max(margin, (mid - chord) / max(abs(chord), 1e-12))
     return PropertyCheck.of(
@@ -225,14 +222,12 @@ def check_recession_routes(
     g: Integrand,
     xi,
     schedule: Schedule,
-    opts: SolverOptions | None = None,
     rel_tol: float = 0.02,
     t_schedule: Sequence[float] = (8.0, 32.0, 128.0),
 ) -> PropertyCheck:
     """The two recession-route estimates agree within a relative tolerance."""
-    opts = opts or SolverOptions()
-    e1 = estimate_f_inf_hom(g, xi, "hom_of_recession", schedule, opts, t_schedule)
-    e2 = estimate_f_inf_hom(g, xi, "recession_of_hom", schedule, opts, t_schedule)
+    e1 = estimate_f_inf_hom(g, xi, "hom_of_recession", schedule, t_schedule)
+    e2 = estimate_f_inf_hom(g, xi, "recession_of_hom", schedule, t_schedule)
     scale = max(abs(e1.extrapolated), abs(e2.extrapolated), 1e-12)
     margin = abs(e1.extrapolated - e2.extrapolated) / scale - rel_tol
     return PropertyCheck.of(
@@ -249,7 +244,6 @@ def check_subadditive_process(
     zeta,
     nu,
     splits: Sequence[tuple],
-    opts: SolverOptions | None = None,
     h: float = 0.25,
     slack: float = 0.05,
     shifts: Sequence = (),
@@ -262,7 +256,6 @@ def check_subadditive_process(
     (n-1)-vectors z'; covariance compares mu(model, A' + z') with
     mu(shifted model, A') where the model shift is M R (z', 0).
     """
-    opts = opts or SolverOptions()
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
     n = nu.shape[0]
@@ -271,8 +264,8 @@ def check_subadditive_process(
     details = {}
 
     for idx, (whole, parts) in enumerate(splits):
-        mu_whole = subadditive_process_eval(model, zeta, nu, whole, opts, h)
-        mu_parts = sum(subadditive_process_eval(model, zeta, nu, p, opts, h) for p in parts)
+        mu_whole = subadditive_process_eval(model, zeta, nu, whole, h)
+        mu_parts = sum(subadditive_process_eval(model, zeta, nu, p, h) for p in parts)
         rel = (mu_whole - mu_parts) / max(mu_parts, 1e-12)
         details[f"split{idx}"] = (mu_whole, mu_parts)
         margin = max(margin, rel - slack)
@@ -289,8 +282,8 @@ def check_subadditive_process(
         z_nu = np.round(M * rot.matrix @ np.concatenate([z.astype(float), [0.0]])).astype(int)
         base_box = [(0.0, 1.0)] * (n - 1)
         shifted_box = [(a + z[i], b + z[i]) for i, (a, b) in enumerate(base_box)]
-        mu_shifted_box = subadditive_process_eval(model, zeta, nu, shifted_box, opts, h)
-        mu_shifted_model = subadditive_process_eval(shift(model, z_nu), zeta, nu, base_box, opts, h)
+        mu_shifted_box = subadditive_process_eval(model, zeta, nu, shifted_box, h)
+        mu_shifted_model = subadditive_process_eval(shift(model, z_nu), zeta, nu, base_box, h)
         scale = max(abs(mu_shifted_box), abs(mu_shifted_model), 1e-12)
         rel = abs(mu_shifted_box - mu_shifted_model) / scale
         details[f"shift{tuple(z)}"] = (mu_shifted_box, mu_shifted_model)
@@ -312,7 +305,6 @@ def check_subadditive_process(
 
 def run_suite(
     tol_scale: float = 1.0,
-    opts: SolverOptions | None = None,
     include_routes: bool = False,
     include_process: bool = False,
     seed: int = 1,
@@ -327,7 +319,6 @@ def run_suite(
     """
     from .integrand import area, euclid, laminate, make_checkerboard
 
-    opts = opts or SolverOptions()
     checks = []
     sched = Schedule(r_values=(4.0, 8.0), h=0.25)
     xi_grid = [np.array([[t, 0.0]]) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
@@ -336,54 +327,31 @@ def run_suite(
     cb = make_checkerboard(seed, 1.0, 2.0)
     catalog = [euclid(), area(), laminate(1.0, 2.0), cb.realise()]
     for g in catalog:
-        ests = [estimate_f_hom(g, xi, sched, opts) for xi in xi_grid]
+        ests = [estimate_f_hom(g, xi, sched) for xi in xi_grid]
         checks.append(check_fhom_growth(ests, C=g.C, rel_slack=0.03 * tol_scale))
         checks.append(check_fhom_lipschitz(ests, C=g.C, n=2))
-        checks.append(
-            check_fhom_rank_one_convexity(
-                g, sched, opts, lines=3, rel_slack=0.02 * tol_scale, seed=seed
-            )
-        )
+        checks.append(check_fhom_rank_one_convexity(g, sched, lines=3, rel_slack=0.02 * tol_scale, seed=seed))
 
     e2 = (0.0, 1.0)
     # the euclid bounds are tight (C = 1), so its sweep needs the larger cells;
     # the checkerboard recession has C = 2 and generous margins at small r
     for g, r_pair in ((euclid(), (8.0, 16.0)), (cb.realise().recession_integrand(), (4.0, 8.0))):
         gsched = Schedule(r_values=r_pair, h=0.25, nu=e2)
-        sweep = [estimate_g_hom(g, [z], e2, gsched, opts) for z in (0.5, 1.0, 2.0)]
+        sweep = [estimate_g_hom(g, [z], e2, gsched) for z in (0.5, 1.0, 2.0)]
         checks.append(check_ghom_bounds(sweep, C=g.C, rel_slack=0.15 * tol_scale))
         pair_sched = Schedule(r_values=(4.0, 8.0), h=0.25, nu=e2)
         neg_sched = Schedule(r_values=(4.0, 8.0), h=0.25, nu=(0.0, -1.0))
-        pairs = [
-            (
-                estimate_g_hom(g, [1.0], e2, pair_sched, opts),
-                estimate_g_hom(g, [-1.0], (0.0, -1.0), neg_sched, opts),
-            )
-        ]
-        checks.append(
-            check_ghom_symmetry_and_lipschitz(
-                pairs, sweep, C=g.C, n=2, sym_tol=0.02 * tol_scale
-            )
-        )
+        pairs = [(estimate_g_hom(g, [1.0], e2, pair_sched), estimate_g_hom(g, [-1.0], (0.0, -1.0), neg_sched))]
+        checks.append(check_ghom_symmetry_and_lipschitz(pairs, sweep, C=g.C, n=2, sym_tol=0.02 * tol_scale))
 
     if include_routes:
         for g in (euclid(), area()):
-            checks.append(
-                check_recession_routes(g, np.array([[1.0, 0.0]]), sched, opts, rel_tol=0.02 * tol_scale)
-            )
+            checks.append(check_recession_routes(g, np.array([[1.0, 0.0]]), sched, rel_tol=0.02 * tol_scale))
         lam1d = laminate(1.0, 2.0)
         sched1d = Schedule(r_values=(8.0,), h=0.05)
-        checks.append(
-            check_recession_routes(
-                lam1d, np.array([[1.0]]), sched1d, opts, rel_tol=0.05 * tol_scale
-            )
-        )
+        checks.append(check_recession_routes(lam1d, np.array([[1.0]]), sched1d, rel_tol=0.05 * tol_scale))
 
     if include_process:
         splits = [([(0.0, 2.0)], [[(0.0, 1.0)], [(1.0, 2.0)]])]
-        checks.append(
-            check_subadditive_process(
-                cb, [1.0], e2, splits, opts, h=0.25, slack=0.05 * tol_scale, shifts=[(1,)]
-            )
-        )
+        checks.append(check_subadditive_process(cb, [1.0], e2, splits, h=0.25, slack=0.05 * tol_scale, shifts=[(1,)]))
     return checks

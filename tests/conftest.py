@@ -1,13 +1,6 @@
 import numpy as np
 import pytest
 
-from cellhom import SolverOptions
-
-
-@pytest.fixture
-def opts():
-    return SolverOptions()
-
 
 @pytest.fixture
 def rng():

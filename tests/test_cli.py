@@ -4,7 +4,6 @@ from scipy.linalg import LinAlgError
 
 import cellhom.solvers
 from cellhom.cli import ConfigError, main, parse_config, run
-from cellhom.solvers import SolverOptions
 
 MINIMAL_FHOM = """
 command = fhom
@@ -47,11 +46,6 @@ class TestParseConfig:
         cfg = parse_config("# a comment\n\ncommand = fhom\nxi = 1,0  # trailing\nr = 4\n")
         assert cfg.command == "fhom"
 
-    def test_solver_keys(self):
-        cfg = parse_config(MINIMAL_FHOM + "delta_schedule = 0.1,0.01\nv_floor = 0.2\n")
-        assert cfg.solver.delta_schedule == (0.1, 0.01)
-        assert cfg.solver.v_floor == 0.2
-
     def test_format_version_check(self):
         with pytest.raises(ConfigError, match="format version"):
             parse_config(MINIMAL_FHOM + "format_version = 99\n")
@@ -75,12 +69,6 @@ t_schedule = 4,16
 route = hom_of_recession
 a_prime = 0:1,2:3
 mc_quantity = g_hom
-delta_schedule = 0.1,0.01
-am_rel_tol = 1e-5
-am_max_iters = 7
-inner_tol = 1e-4
-u_max_iters = 9
-v_floor = 0.2
 tol_scale = 2.5
 include_routes = yes
 include_process = true
@@ -97,12 +85,6 @@ format_version = 1
         assert cfg.mc_quantity == "g_hom" and cfg.tol_scale == 2.5
         assert cfg.include_routes is True and cfg.include_process is True
         assert cfg.out == "runs/x" and cfg.format_version == 1
-        assert cfg.solver == SolverOptions(
-            delta_schedule=(0.1, 0.01), am_max_iters=7, am_rel_tol=1e-5, inner_tol=1e-4, u_max_iters=9, v_floor=0.2
-        )
-        defaults = SolverOptions()
-        for name in ("delta_schedule", "am_max_iters", "am_rel_tol", "inner_tol", "u_max_iters", "v_floor"):
-            assert getattr(cfg.solver, name) != getattr(defaults, name)
 
 
 class TestRun:
@@ -233,13 +215,39 @@ class TestMain:
         cfg_path.write_text("command = fhom\nfoo = 1\n")
         assert main(["--config", str(cfg_path)]) == 1
 
-    @pytest.mark.parametrize("line", ["v_floor = 1.5", "delta_schedule = 0.01,0.1"])
+    # the solver settings are constants of cellhom.solvers, not config keys
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "delta_schedule = 0.01,0.1",
+            "am_max_iters = 7",
+            "am_rel_tol = 1e-5",
+            "inner_tol = 1e-4",
+            "u_max_iters = 9",
+            "v_floor = 1.5",
+        ],
+    )
     def test_bad_solver_value_is_config_error(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL_FHOM + line + "\n")
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("cellhom: config error: invalid solver options")
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"cellhom: config error: line 6: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, integrand, error",
+        [
+            ("mc", "euclid", "command 'mc' requires a random integrand (checkerboard id)"),
+            ("fhom", "nosuch", "unknown integrand id 'nosuch'"),
+        ],
+        ids=["mc-deterministic", "unknown-integrand"],
+    )
+    def test_unusable_integrand_leaves_no_output(self, tmp_path, capsys, command, integrand, error):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"command = {command}\nintegrand = {integrand}\nxi = 1,0\nr = 4\nseeds = 1,2\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: {error}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["ghom", "sweep", "mu"])

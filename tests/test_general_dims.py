@@ -38,7 +38,7 @@ class TestVectorValued:
     def test_v_step_with_vector_field(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         u = affine_datum(cell, np.array([[0.2, 0.0], [0.0, 0.3]]))
-        v = minimize_v_given_u(cell, euclid(), u, 0.0)
+        v = minimize_v_given_u(cell, euclid(), u)
         assert v.values.shape == cell.node_shape
         assert np.all(v.values <= 1.0) and np.all(v.values > 0.5)
 

@@ -14,7 +14,6 @@ from cellhom.homogenise import (
     subadditive_process_eval,
 )
 from cellhom.integrand import InputDomainError, area, euclid, laminate, make_checkerboard, shift
-from cellhom.solvers import SolverOptions
 from cellhom.verify import RAMP_SLOPE_MAX
 
 E2 = (0.0, 1.0)

@@ -26,7 +26,6 @@ def sqrt_kink():
         profile=lambda s: np.asarray(s, dtype=float) + np.sqrt(np.asarray(s, dtype=float)),
         profile_deriv=lambda s: 1.0 + 0.5 / np.sqrt(np.maximum(np.asarray(s, dtype=float), 1e-300)),
         is_positively_homogeneous=False,
-        has_closed_recession=False,
     )
 
 
@@ -121,7 +120,6 @@ class TestValidateAdmissibility:
             profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             recession_slope=1.0,
             is_positively_homogeneous=True,
-            has_closed_recession=True,
         )
         report = validate_admissibility(bad)
         assert not report.passed

@@ -21,7 +21,6 @@ from cellhom.geometry import make_cell
 from cellhom.integrand import InputDomainError, Integrand, area, euclid, laminate
 from cellhom.solvers import (
     SolverBreakdown,
-    SolverOptions,
     minimize_u_given_v,
     minimize_v_given_u,
     solve_bulk_cell,
@@ -87,7 +86,7 @@ def reference_u_step(cell, v, bdata, delta, u0):
     return out.reshape(u0.shape)
 
 
-def reference_v_step(cell, ginf, u, eta):
+def reference_v_step(cell, ginf, u):
     """The exact v-step assembled in full and sliced, solved with scipy.sparse."""
     n, hn = cell.n, cell.h**cell.n
     Du = cell_gradient(cell, u.values).reshape(cell.num_cells, u.N, n)
@@ -102,7 +101,7 @@ def reference_v_step(cell, ginf, u, eta):
     free, fixed = np.flatnonzero(~bflat), np.flatnonzero(bflat)
     vvals = np.ones(cell.num_nodes)
     vvals[free] = spsolve(A[free][:, free].tocsc(), b[free] - A[free][:, fixed] @ vvals[fixed])
-    return np.clip(vvals, eta, 1.0).reshape(cell.node_shape)
+    return np.clip(vvals, 0.0, 1.0).reshape(cell.node_shape)
 
 
 def relative_gap(a, b):
@@ -122,16 +121,15 @@ class TestFreeNodeOperator:
     """Both steps against a scipy.sparse assembly of the same systems."""
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
-    def test_u_step_matches_sparse_reference(self, name, rng):
+    def test_u_step_matches_sparse_reference(self, name, rng, monkeypatch):
         cell, zeta = EQUIVALENCE_CELLS[name]
         bdata = jump_datum(cell, zeta, cell.rotation.nu, eps_width=4 * cell.h)
         v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
         start = bdata.values + 0.3 * rng.standard_normal(bdata.values.shape)
         start[cell.boundary_mask] = bdata.values[cell.boundary_mask]
         stats = {}
-        out = minimize_u_given_v(
-            cell, euclid(), v, bdata, 1e-2, SolverOptions(u_max_iters=1), start=VectorField(cell, start), stats=stats
-        )
+        monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
+        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-2, start=VectorField(cell, start), stats=stats)
         assert stats["iterations"] == 1 and not stats["stalled"]
         assert relative_gap(out.values, reference_u_step(cell, v, bdata, 1e-2, start)) <= 1e-12
 
@@ -140,9 +138,9 @@ class TestFreeNodeOperator:
         cell, zeta = EQUIVALENCE_CELLS[name]
         u = jump_datum(cell, zeta, cell.rotation.nu, eps_width=2 * cell.h)
         u = VectorField(cell, u.values + 0.2 * rng.standard_normal(u.values.shape))
-        v = minimize_v_given_u(cell, euclid(), u, 0.0)
+        v = minimize_v_given_u(cell, euclid(), u)
         assert v.values.min() < 0.99
-        assert relative_gap(v.values, reference_v_step(cell, euclid(), u, 0.0)) <= 1e-12
+        assert relative_gap(v.values, reference_v_step(cell, euclid(), u)) <= 1e-12
 
     def test_band_layout_2d(self):
         cell, _ = EQUIVALENCE_CELLS["2d-k3"]
@@ -231,23 +229,18 @@ class TestSolveSurfaceCell:
         with pytest.raises(PreconditionError):
             solve_surface_cell(cell, area(), [1.0], (0.0, 1.0))
 
-    def test_exhausted_early_level_reports_unconverged(self):
+    def test_exhausted_early_level_reports_unconverged(self, monkeypatch):
         # zero jump: the first sweep lifts the seeded dip to v = 1, later
         # sweeps change nothing; one sweep per level exhausts only the first
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
-        one = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0), SolverOptions((1e-1, 1e-2), am_max_iters=1))
+        monkeypatch.setattr(cellhom.solvers, "DELTA_SCHEDULE", (1e-1, 1e-2))
+        monkeypatch.setattr(cellhom.solvers, "AM_MAX_ITERS", 1)
+        one = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0))
         assert one.iterations == 2 and not one.converged
-        two = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0), SolverOptions((1e-1, 1e-2), am_max_iters=2))
+        monkeypatch.setattr(cellhom.solvers, "AM_MAX_ITERS", 2)
+        two = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0))
         assert two.iterations == 3 and two.converged
         assert one.value == two.value
-
-    def test_phase_clamp_with_floor(self):
-        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
-        opts = SolverOptions(v_floor=0.25)
-        res = solve_surface_cell(cell, euclid(), [4.0], (0.0, 1.0), opts)
-        assert np.all(res.v.values >= 0.25 - 1e-12)
-        assert np.all(res.v.values <= 1.0 + 1e-12)
-        assert np.all(res.v.values[cell.boundary_mask] == 1.0)
 
 
 class TestMinimizeUGivenV:
@@ -256,7 +249,7 @@ class TestMinimizeUGivenV:
         v = PhaseField(cell, np.zeros(cell.node_shape))
         bdata = affine_datum(cell, [[1.0, 0.0]])
         start = VectorField(cell, bdata.values + 0.123)
-        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-2, SolverOptions(), start=start)
+        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-2, start=start)
         interior = ~cell.boundary_mask
         np.testing.assert_allclose(out.values[interior], start.values[interior])
         np.testing.assert_allclose(out.values[cell.boundary_mask], bdata.values[cell.boundary_mask])
@@ -264,7 +257,7 @@ class TestMinimizeUGivenV:
     def test_convex_exact_case(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         bdata = affine_datum(cell, [[1.0, 0.0]])
-        out = minimize_u_given_v(cell, euclid(), None, bdata, 1e-3, SolverOptions())
+        out = minimize_u_given_v(cell, euclid(), None, bdata, 1e-3)
         obj = bulk_energy(cell, euclid(), out)
         assert obj == pytest.approx(cell.volume * 1.0, rel=1e-3)
 
@@ -272,7 +265,7 @@ class TestMinimizeUGivenV:
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
         bdata = affine_datum(cell, [[1.0, 0.5]])
-        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-3, SolverOptions())
+        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-3)
         w = cell_average(cell, v.values).reshape(-1) ** 2
 
         def weighted(uf):
@@ -294,19 +287,19 @@ class TestMinimizeUGivenV:
         bdata = affine_datum(cell, [[1.0, 0.0]])
         start = VectorField(cell, bdata.values + 0.123)
         stats = {}
-        out = minimize_u_given_v(cell, nan_deriv, None, bdata, 1e-2, SolverOptions(), start=start, stats=stats)
+        out = minimize_u_given_v(cell, nan_deriv, None, bdata, 1e-2, start=start, stats=stats)
         assert stats["iterations"] <= 2 and stats["stalled"] and not stats["converged"]
         expected = start.values.copy()
         expected[cell.boundary_mask] = bdata.values[cell.boundary_mask]
         np.testing.assert_array_equal(out.values, expected)
         res = solve_bulk_cell(cell, nan_deriv, [[1.0, 0.0]])
-        assert not res.converged and res.iterations <= 2 * len(SolverOptions().delta_schedule)
+        assert not res.converged and res.iterations <= 2 * len(cellhom.solvers.DELTA_SCHEDULE)
 
     def test_rejects_bad_delta(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         bdata = affine_datum(cell, [[1.0, 0.0]])
         with pytest.raises(InputDomainError):
-            minimize_u_given_v(cell, euclid(), None, bdata, 0.0, SolverOptions())
+            minimize_u_given_v(cell, euclid(), None, bdata, 0.0)
 
     def test_rejects_generic_density(self):
         # a density given only pointwise has no radial profile to reweight
@@ -314,7 +307,7 @@ class TestMinimizeUGivenV:
         cell = make_cell((0.0, 0.0), 2.0, (0.0, 1.0), 1, 0.5)
         bdata = affine_datum(cell, [[1.0, 0.0]])
         with pytest.raises(PreconditionError, match="radial"):
-            minimize_u_given_v(cell, g, None, bdata, 1e-2, SolverOptions())
+            minimize_u_given_v(cell, g, None, bdata, 1e-2)
         with pytest.raises(PreconditionError, match="radial"):
             solve_bulk_cell(cell, g, [[1.0, 0.0]])
 
@@ -323,7 +316,7 @@ class TestMinimizeVGivenU:
     def test_constant_u_gives_ones(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         u = VectorField(cell, np.zeros(cell.node_shape + (1,)))
-        v = minimize_v_given_u(cell, euclid(), u, 0.0)
+        v = minimize_v_given_u(cell, euclid(), u)
         np.testing.assert_allclose(v.values, 1.0, atol=1e-12)
 
     def test_decay_length_against_analytic_profile(self):
@@ -332,7 +325,7 @@ class TestMinimizeVGivenU:
         cell = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
         zn = cell.local_nodes[..., -1]
         u = VectorField(cell, np.where(zn > 1e-12, 10.0, 0.0)[..., None])
-        v = minimize_v_given_u(cell, euclid(), u, 0.0)
+        v = minimize_v_given_u(cell, euclid(), u)
         # anchor one node past the carrying cell: both of its corner nodes
         # are dipped, the exponential recovery starts from the next node
         idx = np.flatnonzero(np.isclose(zn, cell.h))[0]
@@ -348,7 +341,7 @@ class TestMinimizeVGivenU:
         zn = cell.local_nodes[..., -1]
         s = 2.0
         u = VectorField(cell, np.where(zn > 1e-12, s, 0.0)[..., None])
-        v = minimize_v_given_u(cell, euclid(), u, 0.0)
+        v = minimize_v_given_u(cell, euclid(), u)
         assert v.values.min() == pytest.approx(2.0 / (s + 2.0), rel=0.10)
 
     def test_non_finite_solve_is_a_breakdown(self, monkeypatch):
@@ -356,30 +349,15 @@ class TestMinimizeVGivenU:
         u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
         monkeypatch.setattr(cellhom.solvers, "cho_solve_banded", lambda cb, b, **kw: np.full(b.shape, np.nan))
         with pytest.raises(SolverBreakdown, match="non-finite"):
-            minimize_v_given_u(cell, euclid(), u, 0.0)
+            minimize_v_given_u(cell, euclid(), u)
 
     def test_improves_on_previous_phase(self, rng):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
         v_prev = PhaseField(cell, rng.uniform(0.3, 1.0, size=cell.node_shape))
         v_prev.values[cell.boundary_mask] = 1.0
-        v_new = minimize_v_given_u(cell, euclid(), u, 0.0)
+        v_new = minimize_v_given_u(cell, euclid(), u)
         e_prev = surface_energy(cell, euclid(), u, v_prev).total
         e_new = surface_energy(cell, euclid(), u, v_new).total
         assert e_new <= e_prev + 1e-9
 
-
-class TestSolverOptions:
-    def test_schedule_must_decrease(self):
-        with pytest.raises(InputDomainError):
-            SolverOptions(delta_schedule=(1e-3, 1e-2))
-        with pytest.raises(InputDomainError):
-            SolverOptions(delta_schedule=())
-
-    def test_floor_range(self):
-        with pytest.raises(InputDomainError):
-            SolverOptions(v_floor=1.0)
-
-    def test_positive_tolerances(self):
-        with pytest.raises(InputDomainError):
-            SolverOptions(am_rel_tol=0.0)
