@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .integrand import InputDomainError, Integrand
 
@@ -123,11 +122,11 @@ class CellDomain:
     def node_shape(self):
         return tuple(d + 1 for d in self.dims)
 
-    @property
+    @cached_property
     def num_nodes(self):
         return int(np.prod(self.node_shape))
 
-    @property
+    @cached_property
     def num_cells(self):
         return int(np.prod(self.dims))
 
@@ -256,12 +255,15 @@ class FreeNodeOperator:
     is a band: its half-width ``bw`` is 1 in 1D and dims[-1] in 2D, where
     the diagonal corner couplings reach one past the interior count of
     the last axis.  For n <= 2 its storage is the LAPACK upper band of
-    shape (bw + 1, nfree), flattened; for n >= 3, where the band is about
-    d^2 wide, it is the data array of a fixed CSC pattern (``indices``,
-    ``indptr``) holding both triangles.  ``scatter[term] @ w`` gives that
-    storage for cell weights w, ``diag`` the storage slots of the
-    diagonal, and ``free_fixed[term]`` lists the couplings from a free to
-    a fixed node.  An operator is shared by every cell of its dims, so
+    shape (bw + 1, nfree), flattened in column-major order, which LAPACK
+    factorises in place; for n >= 3, where the band is about d^2 wide, it
+    is the data array of a fixed CSC pattern (``indices``, ``indptr``)
+    holding both triangles; ``diag`` lists the diagonal's slots.  Each
+    term is plain index arrays, with no scipy.sparse matrix:
+    :meth:`assemble` adds one coefficient per (cell, slot) times the cell
+    weight with ``np.bincount``, each slot taking its cells in ascending
+    order, and :meth:`fixed_product` sums the free-fixed couplings in a
+    fixed order.  An operator is shared by every cell of its dims, so
     nothing in it may be written to.
     """
 
@@ -277,65 +279,75 @@ class FreeNodeOperator:
         for q in pshift:
             stencil += [(pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0)]
         corners = cell.cell_corner_nodes
-        terms = {
-            "stencil": _coupling_entries(stencil, pos, cell.num_cells),
-            "mass": _coupling_entries([(p, q, 1.0) for p in corners for q in corners], pos, cell.num_cells),
-        }
+        # each term: row and column nodes of shape (pairs, cells), one sign per pair
+        terms = {}
+        for t, pairs in (("stencil", stencil), ("mass", [(p, q, 1.0) for p in corners for q in corners])):
+            p, q, sign = zip(*pairs)
+            terms[t] = (np.stack(p), np.stack(q), np.array(sign))
 
         # every stencil pair is also a corner pair, so the mass term's
         # free-free entries fix the band width and the sparse pattern
-        _, i, j, _, _ = terms["mass"]
+        i, j = pos[terms["mass"][0]], pos[terms["mass"][1]]
         inner = (i >= 0) & (j >= 0)
         self.banded = cell.n <= 2
         if self.banded:
             self.bw = int(np.max(np.abs(i[inner] - j[inner]), initial=0))
-            nslots = (self.bw + 1) * nfree
-            self.diag = self.bw * nfree + np.arange(nfree)
+            self.nslots = (self.bw + 1) * nfree
+            self.diag = np.arange(nfree) * (self.bw + 1) + self.bw
             self.indices = self.indptr = None
         else:
             # column-major keys j*nfree + i are the CSC order
             keys = np.unique(j[inner] * nfree + i[inner])
-            nslots = keys.size
+            self.nslots = keys.size
             self.indices = keys % nfree
             self.indptr = np.searchsorted(keys, np.arange(nfree + 1) * nfree)
             self.diag = np.searchsorted(keys, np.arange(nfree) * (nfree + 1))
 
-        self.scatter = {}
-        self.free_fixed = {}
-        for t, (c, i, j, node, s) in terms.items():
+        self._band = {}
+        self._fixed = {}
+        for t, (p, q, sign) in terms.items():
+            i, j = pos[p], pos[q]
+            # the free-fixed couplings, pair by pair and cell by cell
+            fb = np.nonzero((i >= 0) & (j < 0))
+            self._fixed[t] = (i[fb], fb[1], q[fb], sign[fb[0]])
+            # pairs of the same two cell-local nodes (equal nodes in cell 0)
+            # form one group with one coefficient; a group meets each slot in
+            # at most one cell, and groups in descending order of their row
+            # node in cell 0 meet every slot in ascending cell order, the
+            # order a per-cell sum takes
+            _, first, group = np.unique(np.stack([p[:, 0], q[:, 0]], 1), axis=0, return_index=True, return_inverse=True)
+            coef = np.bincount(group.reshape(-1), weights=sign)[::-1]
+            i, j = i[first[::-1]], j[first[::-1]]
             sel = (i >= 0) & (j >= 0)
             if self.banded:
                 sel &= i <= j
-                slot = (self.bw + i[sel] - j[sel]) * nfree + j[sel]
+                slot = j * (self.bw + 1) + self.bw + i - j
             else:
-                slot = np.searchsorted(keys, j[sel] * nfree + i[sel])
-            self.scatter[t] = sp.csc_matrix((s[sel], (slot, c[sel])), shape=(nslots, cell.num_cells))
-            fb = np.flatnonzero((i >= 0) & (j < 0))
-            gather = sp.csc_matrix((s[fb], (i[fb], np.arange(fb.size))), shape=(nfree, fb.size))
-            self.free_fixed[t] = (gather, c[fb], node[fb])
+                slot = np.searchsorted(keys, j * nfree + i)
+            # couplings to a fixed node go to the spare slot nslots
+            used = sel.any(axis=1)
+            self._band[t] = (np.where(sel, slot, self.nslots)[used].ravel(), coef[used])
         self.free.setflags(write=False)
         self.diag.setflags(write=False)
 
-    def fixed_product(self, term, weights, x):
-        """A_fb x_b: the free-fixed block of a term under cell weights, applied to x.
+    def assemble(self, term, weights):
+        """Storage of the free-free block of a term under cell weights."""
+        slots, coef = self._band[term]
+        return np.bincount(slots, weights=(coef[:, None] * weights).ravel(), minlength=self.nslots + 1)[:-1]
 
-        ``x`` holds nodal values of shape (num_nodes, N); only its fixed
-        nodes are read.  Returns shape (nfree, N).
-        """
-        gather, cells, nodes = self.free_fixed[term]
-        return gather @ (weights[cells, None] * x[nodes])
+    def fixed_values(self, term, x):
+        """Signed fixed-node values of a term's free-fixed couplings; x is (num_nodes, N)."""
+        _, _, nodes, signs = self._fixed[term]
+        return signs[:, None] * x[nodes]
 
-
-def _coupling_entries(pairs, pos, num_cells):
-    """Matrix entries (cell, row, column, column node, sign) of per-cell node pairs.
-
-    Rows and columns are free-node positions, -1 for fixed nodes.
-    """
-    cells = np.tile(np.arange(num_cells), len(pairs))
-    rows = pos[np.concatenate([p for p, _, _ in pairs])]
-    nodes = np.concatenate([q for _, q, _ in pairs])
-    signs = np.repeat([s for _, _, s in pairs], num_cells)
-    return cells, rows, pos[nodes], nodes, signs
+    def fixed_product(self, term, weights, xb):
+        """A_fb x_b, shape (nfree, N): the free-fixed block under cell weights on ``fixed_values``."""
+        rows, cells, _, _ = self._fixed[term]
+        vals = weights[cells, None] * xb
+        out = np.empty((self.nfree, vals.shape[1]))
+        for k, col in enumerate(vals.T):
+            out[:, k] = np.bincount(rows, weights=col, minlength=self.nfree)
+        return out
 
 
 def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:

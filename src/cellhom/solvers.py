@@ -19,11 +19,13 @@ returned value is a true upper bound of the discrete minimum.
 The v-step is exact: the surface energy is a convex quadratic in the
 nodal phase values, solved directly; boundary nodes stay 1.
 
-Both steps scatter their cell weights into the free-free block of the
+Both steps sum their cell weights into the free-free block of the
 cell's ``free_operator`` (see :class:`cellhom.geometry.FreeNodeOperator`)
-and factorise it once per system for all components: banded Cholesky in
-one and two dimensions, sparse LU in three and more.  A factorisation
-that breaks down, or a phase solve with non-finite values, raises
+with ``np.bincount``, with no scipy.sparse scatter, and factorise it once
+per system for all components: in one and two dimensions one call of
+LAPACK's ``dpbsv`` (banded Cholesky, ``dpbtrf`` then ``dpbtrs``), in
+three and more a sparse LU through ``spsolve``.  A factorisation that
+breaks down, or a phase solve with non-finite values, raises
 :class:`SolverBreakdown`.
 
 Alternating minimisation keeps the best (lowest unsmoothed energy) pair
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import spsolve
 
 from .fields import (
@@ -108,16 +110,16 @@ class SolverBreakdown(RuntimeError):
 def _solve_free(op, store, rhs):
     """Solve the free-free system held in ``store`` for every column of ``rhs``.
 
-    Banded Cholesky (LAPACK pbtrf/pbtrs) for n <= 2; the band of an
-    n >= 3 grid is too wide for it, so those take a sparse LU.  One
-    factorisation serves all columns either way.
+    Banded Cholesky (LAPACK dpbsv, which overwrites ``store`` and
+    ``rhs``) for n <= 2; the band of an n >= 3 grid is too wide for it,
+    so those take a sparse LU.  One factorisation serves all columns
+    either way.
     """
     if op.banded:
-        try:
-            factor = cholesky_banded(store.reshape(op.bw + 1, op.nfree), check_finite=False)
-        except LinAlgError as exc:
-            raise SolverBreakdown(f"banded factorisation failed: {exc}") from exc
-        return cho_solve_banded((factor, False), rhs, check_finite=False)
+        _, x, info = dpbsv(store.reshape(op.nfree, op.bw + 1).T, rhs, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise SolverBreakdown(f"banded factorisation failed: {info}-th leading minor not positive definite")
+        return x
     A = sp.csc_matrix((store, op.indices, op.indptr), shape=(op.nfree, op.nfree))
     return spsolve(A, rhs).reshape(rhs.shape)
 
@@ -133,10 +135,10 @@ def _cell_weights(cell, v):
     return cell_average(cell, v.values).reshape(-1) ** 2
 
 
-def _smoothed_objective(cell, g, coeff, weights, delta, u_values, N):
-    """Value of sum_c h^n w_c g_delta(y_c, Du_c) and the magnitudes m_c."""
+def _smoothed_objective(cell, g, coeff, weights, delta2, u_values, N):
+    """Value of sum_c h^n w_c g_delta(y_c, Du_c) and the magnitudes m_c; delta2 = delta^2."""
     Du = cell_gradient(cell, u_values).reshape(cell.num_cells, N, cell.n)
-    m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta**2)
+    m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta2)
     vals = coeff * np.asarray(g.profile(m), dtype=float)
     return cell.h**cell.n * float(np.sum(weights * vals)), m
 
@@ -180,14 +182,17 @@ def minimize_u_given_v(
 
     u = (start.values if start is not None else boundary.values).copy()
     u[bmask] = boundary.values[bmask]
-    E, m = _smoothed_objective(cell, g, coeff, weights, delta, u, N)
+    # fixed for the whole u-step: the boundary values and the weight factor of om
+    ub = op.fixed_values("stencil", u.reshape(-1, N))
+    hw, h2, delta2 = (h**n) * weights * 2.0, h**2, delta**2
+    E, m = _smoothed_objective(cell, g, coeff, weights, delta2, u, N)
 
     it = 0
     converged = stalled = False
     while it < U_MAX_ITERS:
         it += 1
         sigma = coeff * np.asarray(g.profile_deriv(m), dtype=float) / (2.0 * m)
-        om = (h**n) * weights * 2.0 * sigma / h**2
+        om = hw * sigma / h2
         scale = float(np.max(om)) if om.size else 0.0
         if not np.isfinite(scale):
             stalled = True
@@ -197,13 +202,12 @@ def minimize_u_given_v(
             break
         om = np.maximum(om, 1e-14 * scale)
         tau = 1e-12 * scale
-        store = op.scatter["stencil"] @ om
+        store = op.assemble("stencil", om)
         store[op.diag] += tau
-        uflat = u.reshape(-1, N)
-        rhs = tau * uflat[op.free] - op.fixed_product("stencil", om, uflat)
+        rhs = tau * u.reshape(-1, N)[op.free] - op.fixed_product("stencil", om, ub)
         u_new = u.copy()
         u_new.reshape(-1, N)[op.free] = _solve_free(op, store, rhs)
-        E_new, m_new = _smoothed_objective(cell, g, coeff, weights, delta, u_new, N)
+        E_new, m_new = _smoothed_objective(cell, g, coeff, weights, delta2, u_new, N)
         done = abs(E - E_new) <= INNER_TOL * max(1.0, abs(E))
         if E_new <= E:
             u, E, m = u_new, E_new, m_new
@@ -243,11 +247,12 @@ def minimize_v_given_u(cell: CellDomain, ginf: Integrand, u: VectorField) -> Pha
     op = cell.free_operator
     mass = hn * (W + 1.0) / 4**n
     lap = np.full(cell.num_cells, cell.h ** (n - 2))
-    store = op.scatter["stencil"] @ lap + op.scatter["mass"] @ mass
+    store = op.assemble("stencil", lap) + op.assemble("mass", mass)
     # the linear term of (1 - vbar)^2 gives each corner hn / 2^n per cell,
     # and every free node is a corner of 2^n cells; fixed nodes are 1
     ones = np.ones((cell.num_nodes, 1))
-    rhs = hn - op.fixed_product("stencil", lap, ones) - op.fixed_product("mass", mass, ones)
+    xs, xm = op.fixed_values("stencil", ones), op.fixed_values("mass", ones)
+    rhs = hn - op.fixed_product("stencil", lap, xs) - op.fixed_product("mass", mass, xm)
     vvals = np.ones(cell.num_nodes)
     vvals[op.free] = _solve_free(op, store, rhs)[:, 0]
     if not np.all(np.isfinite(vvals)):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
 
 import cellhom.solvers
 from cellhom.cli import ConfigError, main, parse_config, run
@@ -89,10 +88,10 @@ format_version = 1
 
 class TestRun:
     def test_factorisation_breakdown_exit_two(self, tmp_path, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise LinAlgError("2-th leading minor not positive definite")
+        def fail(ab, b, **kwargs):
+            return ab, b, 2  # LAPACK's info: the 2nd leading minor is not positive definite
 
-        monkeypatch.setattr(cellhom.solvers, "cholesky_banded", fail)
+        monkeypatch.setattr(cellhom.solvers, "dpbsv", fail)
         code = run(parse_config(MINIMAL_FHOM), out_dir=tmp_path / "out")
         assert code == 2
         assert capsys.readouterr().err.startswith("cellhom: banded factorisation failed")

@@ -104,6 +104,40 @@ def reference_v_step(cell, ginf, u):
     return np.clip(vvals, 0.0, 1.0).reshape(cell.node_shape)
 
 
+def sparse_products(cell, term, w, x):
+    """One term's free-free storage and free-fixed product, as scipy.sparse products.
+
+    The per-cell scatter matrix maps cell weights into the operator's
+    storage (the column-major upper band, or the CSC data array), and the
+    gather matrix sums the free-fixed couplings in the order the pairs
+    are listed, cell by cell.
+    """
+    op = cell.free_operator
+    pos = np.full(cell.num_nodes, -1)
+    pos[op.free] = np.arange(op.nfree)
+    if term == "stencil":
+        pbase, pshift = cell.cell_edge_nodes
+        pairs = [e for q in pshift for e in ((pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0))]
+    else:
+        corners = cell.cell_corner_nodes
+        pairs = [(p, q, 1.0) for p in corners for q in corners]
+    c = np.tile(np.arange(cell.num_cells), len(pairs))
+    nodes = np.concatenate([q for _, q, _ in pairs])
+    i, j = pos[np.concatenate([p for p, _, _ in pairs])], pos[nodes]
+    s = np.repeat([sign for _, _, sign in pairs], cell.num_cells)
+    sel = (i >= 0) & (j >= 0)
+    if op.banded:
+        sel &= i <= j
+        slot = np.ravel_multi_index((op.bw + i[sel] - j[sel], j[sel]), (op.bw + 1, op.nfree), order="F")
+    else:
+        lookup = sp.csc_matrix((np.arange(1.0, op.nslots + 1), op.indices, op.indptr), shape=(op.nfree, op.nfree))
+        slot = np.asarray(lookup[i[sel], j[sel]]).ravel().astype(int) - 1
+    store = sp.csc_matrix((s[sel], (slot, c[sel])), shape=(op.nslots, cell.num_cells)) @ w
+    fb = np.flatnonzero((i >= 0) & (j < 0))
+    gather = sp.csc_matrix((s[fb], (i[fb], np.arange(fb.size))), shape=(op.nfree, fb.size))
+    return store, gather @ (w[c[fb], None] * x[nodes[fb]])
+
+
 def relative_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -141,6 +175,26 @@ class TestFreeNodeOperator:
         v = minimize_v_given_u(cell, euclid(), u)
         assert v.values.min() < 0.99
         assert relative_gap(v.values, reference_v_step(cell, euclid(), u)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
+    @pytest.mark.parametrize("term", ["stencil", "mass"])
+    def test_assembly_matches_sparse_product_exactly(self, name, term, rng):
+        cell, _ = EQUIVALENCE_CELLS[name]
+        op = cell.free_operator
+        w = rng.uniform(0.1, 2.0, size=cell.num_cells)
+        for N in (1, 2):
+            x = rng.standard_normal((cell.num_nodes, N))
+            store, fixed = sparse_products(cell, term, w, x)
+            assert np.array_equal(op.assemble(term, w), store)
+            assert np.array_equal(op.fixed_product(term, w, op.fixed_values(term, x)), fixed)
+
+    @pytest.mark.parametrize("name", ["1d", "2d-k3"])
+    def test_indefinite_band_is_a_breakdown(self, name):
+        cell, _ = EQUIVALENCE_CELLS[name]
+        op = cell.free_operator
+        store = op.assemble("stencil", -np.ones(cell.num_cells))
+        with pytest.raises(SolverBreakdown, match="banded factorisation failed: 1-th leading minor"):
+            cellhom.solvers._solve_free(op, store, np.ones((op.nfree, 1)))
 
     def test_band_layout_2d(self):
         cell, _ = EQUIVALENCE_CELLS["2d-k3"]
@@ -347,7 +401,7 @@ class TestMinimizeVGivenU:
     def test_non_finite_solve_is_a_breakdown(self, monkeypatch):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
-        monkeypatch.setattr(cellhom.solvers, "cho_solve_banded", lambda cb, b, **kw: np.full(b.shape, np.nan))
+        monkeypatch.setattr(cellhom.solvers, "dpbsv", lambda ab, b, **kw: (ab, np.full(b.shape, np.nan), 0))
         with pytest.raises(SolverBreakdown, match="non-finite"):
             minimize_v_given_u(cell, euclid(), u)
 
