@@ -27,9 +27,9 @@ model = make_checkerboard(3, 1.0, 2.0)
 ZETA = [1.0]
 
 print("axis-aligned normal (0, 1): lattice period M = 1")
-whole = subadditive_process_eval(model, ZETA, (0.0, 1.0), [(0.0, 2.0)], h=0.25)
-left = subadditive_process_eval(model, ZETA, (0.0, 1.0), [(0.0, 1.0)], h=0.25)
-right = subadditive_process_eval(model, ZETA, (0.0, 1.0), [(1.0, 2.0)], h=0.25)
+whole = subadditive_process_eval(model, ZETA, (0.0, 1.0), [(0.0, 2.0)], h=0.25).extrapolated
+left = subadditive_process_eval(model, ZETA, (0.0, 1.0), [(0.0, 1.0)], h=0.25).extrapolated
+right = subadditive_process_eval(model, ZETA, (0.0, 1.0), [(1.0, 2.0)], h=0.25).extrapolated
 print(f"  mu([0,2)) = {whole:.4f} <= mu([0,1)) + mu([1,2)) = {left:.4f} + {right:.4f} = {left + right:.4f}")
 C = model.base.C * max(model.a_max, 1.0 / model.a_min)
 print(f"  volume bound per unit interval: C * |zeta| * {RAMP_SLOPE_MAX} = {C * RAMP_SLOPE_MAX:.2f}")
@@ -40,8 +40,8 @@ nu = (0.6, 0.8)
 M, rot = lattice_period(nu)
 z_nu = np.round(M * rot.matrix @ np.array([1.0, 0.0])).astype(int)
 print(f"  M = {M}, in-plane lattice step for A' -> A' + 1 is {tuple(int(v) for v in z_nu)}")
-a = subadditive_process_eval(model, ZETA, nu, [(1.0, 2.0)], h=0.25)
-b = subadditive_process_eval(shift(model, z_nu), ZETA, nu, [(0.0, 1.0)], h=0.25)
+a = subadditive_process_eval(model, ZETA, nu, [(1.0, 2.0)], h=0.25).extrapolated
+b = subadditive_process_eval(shift(model, z_nu), ZETA, nu, [(0.0, 1.0)], h=0.25).extrapolated
 print(f"  mu(model, A'+1) = {a:.10f}")
 print(f"  mu(shifted,  A') = {b:.10f}")
 print(f"  covariance defect: {abs(a - b):.2e} (exact up to float noise)")

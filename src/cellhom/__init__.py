@@ -24,8 +24,6 @@ from .fields import (
 from .geometry import (
     CellDomain,
     Rotation,
-    boundary_nodes,
-    localize_integrand,
     make_box_cell,
     make_cell,
     rotation_for_normal,
@@ -44,7 +42,6 @@ from .integrand import (
     RandomIntegrandModel,
     area,
     euclid,
-    eval_density,
     eval_recession,
     laminate,
     make_checkerboard,

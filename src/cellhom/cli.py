@@ -45,6 +45,7 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 REPORT_FORMAT_VERSION = 1
 
 COMMANDS = ("fhom", "finfhom", "ghom", "mc", "mu", "verify", "sweep")
+ROUTES = ("hom_of_recession", "recession_of_hom")
 
 class ConfigError(ValueError):
     """Raised on malformed or incomplete run configs."""
@@ -100,7 +101,12 @@ def _parse_intervals(text):
 
 
 def _parse_flag(text):
-    return text.lower() in ("1", "true", "yes")
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
 
 
 # config key -> (RunConfig field, parser); a key whose field is a list
@@ -157,6 +163,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
+    if cfg.route != "both" and cfg.route not in ROUTES:
+        raise ConfigError(f"unknown route {cfg.route!r}; expected 'both' or one of {ROUTES}")
     if command in ("fhom", "finfhom", "sweep") and not cfg.xi:
         raise ConfigError(f"command {command!r} requires at least one 'xi'")
     if command in ("ghom", "mu", "sweep") and not cfg.zeta:
@@ -262,7 +270,6 @@ def run(config: RunConfig, out_dir=None) -> int:
         return 1
 
     estimates: list[HomEstimate] = []
-    mu_rows: list[str] = []
     checks = []
     try:
         g = integrand_or_model if model is None else model.realise()
@@ -272,7 +279,7 @@ def run(config: RunConfig, out_dir=None) -> int:
         if config.command in ("fhom", "sweep"):
             estimates += [estimate_f_hom(g, xi, sched) for xi in config.xi]
         if config.command == "finfhom":
-            routes = ("hom_of_recession", "recession_of_hom") if config.route == "both" else (config.route,)
+            routes = ROUTES if config.route == "both" else (config.route,)
             for route in routes:
                 estimates += [estimate_f_inf_hom(g, xi, route, sched, config.t_schedule) for xi in config.xi]
         if config.command in ("ghom", "sweep"):
@@ -285,10 +292,9 @@ def run(config: RunConfig, out_dir=None) -> int:
                 for r in config.r_values
             ]
         if config.command == "mu":
-            for zeta in config.zeta:
-                val = subadditive_process_eval(model, zeta, config.nu, config.a_prime, config.h)
-                arg = _arg_str((zeta, np.asarray(config.nu)))
-                mu_rows.append(f"mu,{arg},0.0,,{_fmt(float(val))},{_fmt(float(val))},0,True,0")
+            estimates += [
+                subadditive_process_eval(model, zeta, config.nu, config.a_prime, config.h) for zeta in config.zeta
+            ]
         if config.command == "verify":
             checks = run_suite(
                 tol_scale=config.tol_scale,
@@ -321,7 +327,6 @@ def run(config: RunConfig, out_dir=None) -> int:
             )
             diag_lines.extend(f"{head},{step},{_fmt(float(e))}" for step, e in enumerate(res.energy_trace))
         summary_lines.append(_summary_row(est))
-    results_lines.extend(mu_rows)
     (out / "results.csv").write_text("\n".join(results_lines) + "\n")
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
     (out / "diagnostics.csv").write_text("\n".join(diag_lines) + "\n")

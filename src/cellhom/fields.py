@@ -38,7 +38,6 @@ __all__ = [
     "bulk_energy",
     "surface_energy",
     "at_energy",
-    "export_csv",
 ]
 
 
@@ -205,28 +204,3 @@ def at_energy(cell: CellDomain, g: Integrand, u: VectorField, v: PhaseField, eps
         raise PreconditionError("fields do not live on the given cell")
     bulk, fidelity, grad_v = _surface_terms(cell, g, u, v)
     return EnergyBreakdown.of(bulk, fidelity / eps, eps * grad_v)
-
-
-def export_csv(path, *fields):
-    """Write node coordinates plus one column per field component."""
-    if not fields:
-        raise InputDomainError("need at least one field to export")
-    cell = fields[0].cell
-    coords = cell.global_nodes.reshape(-1, cell.n)
-    cols = [coords[:, i] for i in range(cell.n)]
-    header = [f"y{i}" for i in range(cell.n)]
-    for k, f in enumerate(fields):
-        vals = f.values
-        if vals.ndim == cell.n:
-            cols.append(vals.reshape(-1))
-            header.append(f"field{k}")
-        else:
-            flat = vals.reshape(-1, vals.shape[-1])
-            for c in range(flat.shape[1]):
-                cols.append(flat[:, c])
-                header.append(f"field{k}_{c}")
-    data = np.column_stack(cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -17,12 +17,12 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .integrand import InputDomainError, Integrand
+from .integrand import InputDomainError
 
 __all__ = [
     "Rotation",
@@ -31,8 +31,6 @@ __all__ = [
     "rotation_for_normal",
     "make_cell",
     "make_box_cell",
-    "boundary_nodes",
-    "localize_integrand",
 ]
 
 ORTHO_TOL = 1e-12
@@ -396,57 +394,3 @@ def make_box_cell(nu, lo, hi, h, center=None) -> CellDomain:
     lo.setflags(write=False)
     center.setflags(write=False)
     return CellDomain(center=center, rotation=rot, h=float(h), lo=lo, dims=dims)
-
-
-def boundary_nodes(cell: CellDomain, which: str = "all") -> np.ndarray:
-    """Sorted flat indices of nodes on the requested boundary faces.
-
-    ``perp`` selects faces on the first n-1 local axes, ``para`` the two
-    faces normal to the last local axis; their union is ``all`` and they
-    overlap exactly on edge nodes.
-    """
-    n = cell.n
-    if which == "all":
-        mask = cell.boundary_mask
-    elif which in ("perp", "para"):
-        axes = range(n - 1) if which == "perp" else [n - 1]
-        mask = np.zeros(cell.node_shape, dtype=bool)
-        for axis in axes:
-            sl = [slice(None)] * n
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
-    else:
-        raise InputDomainError(f"unknown boundary selector {which!r}")
-    return np.flatnonzero(mask.reshape(-1))
-
-
-def localize_integrand(cell: CellDomain, g: Integrand) -> Integrand:
-    """Pull g back to the local frame: g~(z, xi) = g(R z + c, xi R^T).
-
-    Energies of local fields under g~ equal energies of the mapped fields
-    under g; Frobenius norms are rotation invariant, so radial densities
-    only get their coefficient recentred.
-    """
-    R = cell.rotation.matrix
-    c = cell.center
-
-    if g.is_radial:
-        if g.coeff is None:
-            return replace(g, id=f"{g.id}@local")
-        base_coeff = g.coeff
-
-        def coeff(points):
-            return base_coeff(np.asarray(points, dtype=float) @ R.T + c)
-
-        return replace(g, id=f"{g.id}@local", coeff=coeff)
-
-    base_eval = g.generic_eval
-
-    def gen(points, xis):
-        pts = np.asarray(points, dtype=float) @ R.T + c
-        mats = np.asarray(xis, dtype=float) @ R.T
-        return base_eval(pts, mats)
-
-    return replace(g, id=f"{g.id}@local", generic_eval=gen)

@@ -244,14 +244,16 @@ def subadditive_process_eval(
     a_prime,
     h: float = 0.25,
     cap: int = 64,
-) -> float:
-    """Scaled interface minimum on the lattice-compatible box of A'.
+) -> HomEstimate:
+    """Scaled interface minimum mu(A') on the lattice-compatible box of A'.
 
     ``a_prime`` is an (n-1)-dimensional half-open interval given as
     (lo, hi) pairs.  The domain is M R (A' x [-c, c)) with c half the
     largest side of A' and M the lattice period of the (rational) normal;
     the boundary datum is the unit-width smoothed jump through the
-    origin, and the returned value is the minimum divided by M^{n-1}.
+    origin.  The estimate (quantity ``"mu"``, one solve, recorded at
+    r = 0) holds the minimum divided by M^{n-1} as ``extrapolated`` and
+    the cell solve in ``per_r_results``.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
@@ -265,4 +267,4 @@ def subadditive_process_eval(
     hi = np.array([b for _, b in pairs] + [c]) * M
     cell = make_box_cell(rot, lo, hi, h)
     res = solve_surface_cell(cell, model.realise().recession_integrand(), zeta, nu, datum_width=1.0)
-    return res.value / M ** (n - 1)
+    return HomEstimate.from_runs("mu", (zeta.copy(), nu.copy()), (0.0,), [res.value / M ** (n - 1)], [res])

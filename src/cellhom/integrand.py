@@ -11,11 +11,9 @@ f_inf(x, xi) at rate C/t * (1 + f(x, t*xi)^(1-alpha)).  The recession
 function is positively 1-homogeneous and satisfies
 C^-1 |xi| <= f_inf(x, xi) <= C |xi|.
 
-Every catalog density factors through the gradient magnitude,
-f(x, xi) = coeff(x) * profile(|xi|), and the cell solvers need that
-form.  Fully generic densities can still be wrapped via
-``Integrand.from_pointwise`` for evaluation, recession and validation;
-the cell solvers reject them.
+Every density factors through the gradient magnitude,
+f(x, xi) = coeff(x) * profile(|xi|), the form the cell solvers'
+reweighted u-step needs.
 
 Random stationary densities are realised as ``RandomIntegrandModel``:
 a unit-lattice coefficient field drawn from a splittable 64-bit hash of
@@ -25,7 +23,7 @@ two models with the same seed are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +34,6 @@ __all__ = [
     "ValidationReport",
     "InputDomainError",
     "UnresolvedRecessionError",
-    "eval_density",
     "eval_recession",
     "validate_admissibility",
     "make_checkerboard",
@@ -79,11 +76,7 @@ def _frob(xis):
 
 @dataclass(frozen=True)
 class Integrand:
-    """An evaluable energy density with declared growth constants.
-
-    The cell solvers need the radial form coeff(x) * profile(|xi|).  A
-    density given through ``generic_eval`` evaluates, localises and
-    validates, but the cell solvers reject it with ``PreconditionError``.
+    """An energy density coeff(x) * profile(|xi|) with declared growth constants.
 
     Parameters
     ----------
@@ -93,33 +86,27 @@ class Integrand:
         Growth constant, C >= 1.
     alpha : float
         Recession-rate exponent in (0, 1).
+    profile : callable
+        Radial part; maps magnitudes (M,) to values (M,).
+    profile_deriv : callable
+        Derivative of ``profile`` on (0, inf), which the u-step
+        reweights with.
     coeff : callable or None
         Spatial factor; maps points of shape (M, n) to values (M,).
         ``None`` means coeff == 1.
-    profile : callable
-        Radial part; maps magnitudes (M,) to values (M,).  Present for
-        every density that factors through |xi|.
-    profile_deriv : callable or None
-        Derivative of ``profile`` on (0, inf); required by the cell
-        solvers.
     recession_slope : float or None
         lim_{s->inf} profile(s)/s when available in closed form; the
         closed recession is then coeff(x) * recession_slope * |xi|.
         ``None`` means the recession is evaluated by t-scaling.
-    generic_eval : callable or None
-        Batch evaluator (points (M, n), xis (M, N, n)) -> (M,) for
-        densities without radial structure.  When set, it takes
-        precedence over (coeff, profile).
     """
 
     id: str
     C: float
     alpha: float
+    profile: Callable
+    profile_deriv: Callable
     coeff: Optional[Callable] = None
-    profile: Optional[Callable] = None
-    profile_deriv: Optional[Callable] = None
     recession_slope: Optional[float] = None
-    generic_eval: Optional[Callable] = None
     is_positively_homogeneous: bool = False
 
     def __post_init__(self):
@@ -130,16 +117,10 @@ class Integrand:
             raise InputDomainError(f"growth constant C must be positive, got {self.C}")
         if not (0.0 < self.alpha < 1.0):
             raise InputDomainError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.profile is None and self.generic_eval is None:
-            raise InputDomainError("integrand needs a radial profile or a generic evaluator")
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-
-    @property
-    def is_radial(self):
-        return self.generic_eval is None
 
     def coeff_cells(self, points):
         if self.coeff is None:
@@ -148,11 +129,7 @@ class Integrand:
 
     def eval_cells(self, points, xis):
         """Batch evaluation; points (M, n), xis (M, N, n) -> (M,)."""
-        points = np.asarray(points, dtype=float)
-        xis = np.asarray(xis, dtype=float)
-        if self.generic_eval is not None:
-            return np.asarray(self.generic_eval(points, xis), dtype=float)
-        return self.coeff_cells(points) * np.asarray(self.profile(_frob(xis)), dtype=float)
+        return self.coeff_cells(np.asarray(points, dtype=float)) * np.asarray(self.profile(_frob(xis)), dtype=float)
 
     def eval(self, x, xi):
         """Evaluate at a single point; validates finiteness."""
@@ -162,55 +139,32 @@ class Integrand:
             raise InputDomainError("non-finite input to density evaluation")
         return float(self.eval_cells(x[None, :], xi[None, :, :])[0])
 
-    def recession_cells(self, points, xis):
-        """Closed-form recession on a batch; requires a ``recession_slope``."""
-        if self.recession_slope is None:
-            raise InputDomainError(f"integrand {self.id!r} has no closed recession")
-        points = np.asarray(points, dtype=float)
-        return self.coeff_cells(points) * self.recession_slope * _frob(xis)
-
     # ------------------------------------------------------------------
     # derived integrands
     # ------------------------------------------------------------------
 
     def recession_integrand(self):
         """The recession density as a standalone 1-homogeneous integrand."""
-        if self.is_radial:
-            slope = self.recession_slope
-            if slope is None:
-                # numeric recession: certify the radial slope once via the
-                # t-scaling, at the tightest tolerance the scaling cap allows
-                M = self.C * (1.0 + (2.0 * self.C) ** (1.0 - self.alpha))
-                tol = max(1e-9, 2.0 * M / RECESSION_T_CAP**self.alpha)
-                slope = eval_recession(self, np.zeros(1), np.ones((1, 1)), tol=tol)
-            return replace(
-                self,
-                id=f"recession({self.id})",
-                profile=lambda s, k=slope: k * s,
-                profile_deriv=lambda s, k=slope: np.full_like(np.asarray(s, dtype=float), k),
-                recession_slope=slope,
-                is_positively_homogeneous=True,
-            )
-        raise InputDomainError(f"cannot build a recession integrand for {self.id!r}")
-
-    @staticmethod
-    def from_pointwise(id, fn, C, alpha, **kwargs):
-        """Wrap a scalar callable fn(x, xi) into a (slow) batch integrand."""
-
-        def batch(points, xis):
-            return np.array([fn(points[m], xis[m]) for m in range(points.shape[0])])
-
-        return Integrand(id=id, C=C, alpha=alpha, generic_eval=batch, **kwargs)
+        slope = self.recession_slope
+        if slope is None:
+            # numeric recession: certify the radial slope once via the
+            # t-scaling, at the tightest tolerance the scaling cap allows
+            M = self.C * (1.0 + (2.0 * self.C) ** (1.0 - self.alpha))
+            tol = max(1e-9, 2.0 * M / RECESSION_T_CAP**self.alpha)
+            slope = eval_recession(self, np.zeros(1), np.ones((1, 1)), tol=tol)
+        return replace(
+            self,
+            id=f"recession({self.id})",
+            profile=lambda s, k=slope: k * s,
+            profile_deriv=lambda s, k=slope: np.full_like(np.asarray(s, dtype=float), k),
+            recession_slope=slope,
+            is_positively_homogeneous=True,
+        )
 
 
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
-
-
-def eval_density(g: Integrand, x, xi) -> float:
-    """Evaluate f(x, xi); pure and deterministic."""
-    return g.eval(x, xi)
 
 
 def eval_recession(g: Integrand, x, xi, tol: float) -> float:
@@ -229,7 +183,7 @@ def eval_recession(g: Integrand, x, xi, tol: float) -> float:
     if norm == 0.0:
         return 0.0
     if g.recession_slope is not None:
-        return float(g.recession_cells(x[None, :], xi[None, :, :])[0])
+        return float(g.coeff_cells(x[None, :])[0] * g.recession_slope * norm)
     M = g.C * (1.0 + (2.0 * g.C) ** (1.0 - g.alpha))
     T = max((M * norm / tol) ** (1.0 / g.alpha), 1.0)
     if T > RECESSION_T_CAP:
@@ -255,15 +209,6 @@ class ValidationReport:
     recession_bounds_margin: float
     num_samples: int
     passed: bool
-
-    def worst(self):
-        rates = list(self.recession_rate_margins.values()) or [float("-inf")]
-        return max(
-            self.growth_margin,
-            max(rates),
-            self.recession_homogeneity_margin,
-            self.recession_bounds_margin,
-        )
 
 
 def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> ValidationReport:

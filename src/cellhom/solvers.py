@@ -7,14 +7,13 @@ smoothed jump and v = 1 on the boundary.
 
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over a decreasing delta schedule.
-For densities of the form coeff(x) * profile(|xi|) the step is a
+Every density has the form coeff(x) * profile(|xi|), and the step is a
 majorize-minimize reweighted least-squares iteration (lagged
-diffusivity): each inner iteration solves a weighted Laplacian exactly,
-and the surrogate energy cannot increase; a rejected or non-finite step
-ends the iteration as stalled.  A density given only through
-``generic_eval`` is rejected with :class:`PreconditionError`.  Reported
-energies are always evaluated with the unsmoothed density, so every
-returned value is a true upper bound of the discrete minimum.
+diffusivity) on it: each inner iteration solves a weighted Laplacian
+exactly, and the surrogate energy cannot increase; a rejected or
+non-finite step ends the iteration as stalled.  Reported energies are
+always evaluated with the unsmoothed density, so every returned value
+is a true upper bound of the discrete minimum.
 
 The v-step is exact: the surface energy is a convex quadratic in the
 nodal phase values, solved directly; boundary nodes stay 1.
@@ -155,8 +154,6 @@ def minimize_u_given_v(
     """Approximate minimiser of the vbar^2-weighted, delta-smoothed energy.
 
     Dirichlet values are taken from ``boundary`` on every boundary node.
-    ``g`` must have the form coeff(x) * profile(|xi|) with a
-    ``profile_deriv``; other densities raise :class:`PreconditionError`.
 
     Reweighted least squares: majorises profile(sqrt(q + delta^2))
     linearly in q = |Du|^2, which is valid for the catalog profiles
@@ -172,8 +169,6 @@ def minimize_u_given_v(
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
-    if not g.is_radial or g.profile_deriv is None:
-        raise PreconditionError(f"u-step needs a radial density with a profile derivative, got {g.id!r}")
     n, N, h = cell.n, boundary.N, cell.h
     op = cell.free_operator
     weights = _cell_weights(cell, v)

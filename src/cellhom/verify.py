@@ -264,8 +264,8 @@ def check_subadditive_process(
     details = {}
 
     for idx, (whole, parts) in enumerate(splits):
-        mu_whole = subadditive_process_eval(model, zeta, nu, whole, h)
-        mu_parts = sum(subadditive_process_eval(model, zeta, nu, p, h) for p in parts)
+        mu_whole = subadditive_process_eval(model, zeta, nu, whole, h).extrapolated
+        mu_parts = sum(subadditive_process_eval(model, zeta, nu, p, h).extrapolated for p in parts)
         rel = (mu_whole - mu_parts) / max(mu_parts, 1e-12)
         details[f"split{idx}"] = (mu_whole, mu_parts)
         margin = max(margin, rel - slack)
@@ -282,8 +282,8 @@ def check_subadditive_process(
         z_nu = np.round(M * rot.matrix @ np.concatenate([z.astype(float), [0.0]])).astype(int)
         base_box = [(0.0, 1.0)] * (n - 1)
         shifted_box = [(a + z[i], b + z[i]) for i, (a, b) in enumerate(base_box)]
-        mu_shifted_box = subadditive_process_eval(model, zeta, nu, shifted_box, h)
-        mu_shifted_model = subadditive_process_eval(shift(model, z_nu), zeta, nu, base_box, h)
+        mu_shifted_box = subadditive_process_eval(model, zeta, nu, shifted_box, h).extrapolated
+        mu_shifted_model = subadditive_process_eval(shift(model, z_nu), zeta, nu, base_box, h).extrapolated
         scale = max(abs(mu_shifted_box), abs(mu_shifted_model), 1e-12)
         rel = abs(mu_shifted_box - mu_shifted_model) / scale
         details[f"shift{tuple(z)}"] = (mu_shifted_box, mu_shifted_model)

@@ -11,6 +11,15 @@ xi = 1,0
 r = 4,8
 """
 
+MINIMAL_MU = """
+command = mu
+integrand = checkerboard:3,1,2
+zeta = 1
+nu = 0,1
+a_prime = 0:1
+h = 0.25
+"""
+
 
 class TestParseConfig:
     def test_minimal_with_defaults(self):
@@ -44,6 +53,17 @@ class TestParseConfig:
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\ncommand = fhom\nxi = 1,0  # trailing\nr = 4\n")
         assert cfg.command == "fhom"
+
+    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+    def test_bad_flag_value(self, value):
+        with pytest.raises(ConfigError, match="line 6: cannot parse 'include_routes'"):
+            parse_config(MINIMAL_FHOM + f"include_routes = {value}\n")
+
+    @pytest.mark.parametrize(
+        "value, parsed", [("YES", True), ("True", True), ("1", True), ("No", False), ("FALSE", False), ("0", False)]
+    )
+    def test_flag_values(self, value, parsed):
+        assert parse_config(MINIMAL_FHOM + f"include_process = {value}\n").include_process is parsed
 
     def test_format_version_check(self):
         with pytest.raises(ConfigError, match="format version"):
@@ -122,13 +142,25 @@ class TestRun:
         assert (tmp_path / "a" / "summary.csv").read_bytes() == (tmp_path / "b" / "summary.csv").read_bytes()
 
     def test_mu_command(self, tmp_path):
-        cfg = parse_config(
-            "command = mu\nintegrand = checkerboard:3,1,2\nzeta = 1\nnu = 0,1\na_prime = 0:1\nh = 0.25\n"
-        )
-        code = run(cfg, out_dir=tmp_path / "out")
+        code = run(parse_config(MINIMAL_MU), out_dir=tmp_path / "out")
         assert code == 0
         rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert rows[1].startswith("mu,")
+        assert int(rows[1].split(",")[6]) > 0
+
+    def test_unconverged_mu_exits_two(self, tmp_path, monkeypatch):
+        # one sweep per smoothing level cannot meet the level's decrease test
+        monkeypatch.setattr(cellhom.solvers, "AM_MAX_ITERS", 1)
+        code = run(parse_config(MINIMAL_MU), out_dir=tmp_path / "out")
+        assert code == 2
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        fields = rows[0].split(",")
+        assert fields[7] == "False"
+        diagnostics = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert int(fields[8]) == len(diagnostics) > 0
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert summary[1].startswith("mu,") and "unconverged" in summary[1]
 
     def test_mc_ghom_rows(self, tmp_path):
         cfg = parse_config(
@@ -247,6 +279,13 @@ class TestMain:
         cfg_path.write_text(f"command = {command}\nintegrand = {integrand}\nxi = 1,0\nr = 4\nseeds = 1,2\n")
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"cellhom: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_route_leaves_no_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("command = finfhom\nintegrand = euclid\nxi = 1,0\nr = 4\nroute = foo\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("cellhom: config error: unknown route 'foo'")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["ghom", "sweep", "mu"])

@@ -10,7 +10,6 @@ from cellhom.fields import (
     at_energy,
     bulk_energy,
     cell_gradient,
-    export_csv,
     jump_datum,
     ramp,
     surface_energy,
@@ -169,12 +168,3 @@ class TestFieldTypes:
     def test_shape_mismatch(self, square):
         with pytest.raises(Exception):
             VectorField(square, np.zeros((3, 3, 1)))
-
-    def test_export_csv(self, tmp_path, square, rng):
-        u = affine_datum(square, rng.normal(size=(1, 2)))
-        v = PhaseField.ones(square)
-        path = tmp_path / "snap.csv"
-        export_csv(path, u, v)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "y0,y1,field0_0,field1"
-        assert len(lines) == 1 + square.num_nodes

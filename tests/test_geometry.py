@@ -6,13 +6,10 @@ import pytest
 from cellhom.geometry import (
     CellDomain,
     ResolutionError,
-    boundary_nodes,
-    localize_integrand,
-    make_box_cell,
     make_cell,
     rotation_for_normal,
 )
-from cellhom.integrand import InputDomainError, area, euclid, laminate, validate_admissibility
+from cellhom.integrand import InputDomainError
 
 NORMALS_2D = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0), (0.6, 0.8), (-0.6, -0.8)]
 NORMALS_3D = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (2 / 3, 1 / 3, 2 / 3)]
@@ -94,91 +91,3 @@ class TestMakeCell:
         a, b = rng.normal(size=(2, 2))
         da = cell.frame_map(a) - cell.frame_map(b)
         assert np.linalg.norm(da) == pytest.approx(np.linalg.norm(a - b))
-
-
-class TestBoundaryNodes:
-    @pytest.fixture
-    def grid3(self):
-        # 3x3 nodes (2x2 cells)
-        return make_box_cell((0.0, 1.0), lo=(0.0, 0.0), hi=(2.0, 2.0), h=1.0)
-
-    def test_all_is_rim(self, grid3):
-        assert len(boundary_nodes(grid3, "all")) == 8
-
-    def test_para_is_top_and_bottom_rows(self, grid3):
-        para = boundary_nodes(grid3, "para")
-        assert len(para) == 6
-        coords = grid3.local_nodes.reshape(-1, 2)[para]
-        assert set(np.round(coords[:, 1], 12)) == {0.0, 2.0}
-
-    def test_inclusion_exclusion(self, grid3):
-        n_all = len(boundary_nodes(grid3, "all"))
-        n_perp = len(boundary_nodes(grid3, "perp"))
-        n_para = len(boundary_nodes(grid3, "para"))
-        corners = set(boundary_nodes(grid3, "perp")) & set(boundary_nodes(grid3, "para"))
-        assert n_all == n_perp + n_para - len(corners)
-        assert len(corners) == 4
-
-    def test_unknown_selector(self, grid3):
-        with pytest.raises(InputDomainError):
-            boundary_nodes(grid3, "sides")
-
-
-class TestLocalizeIntegrand:
-    def test_translation_only_for_identity_rotation(self):
-        cell = make_cell(center=(2.0, 3.0), side=4.0, nu=(0.0, 1.0), k=1, h=0.5)
-        g = laminate(1.0, 2.0)
-        loc = localize_integrand(cell, g)
-        z = np.array([[0.25, 0.0]])
-        xi = np.ones((1, 1, 2))
-        np.testing.assert_allclose(
-            loc.eval_cells(z, xi), g.eval_cells(z + cell.center, xi)
-        )
-
-    def test_euclid_rotation_invariant(self, rng):
-        cell = make_cell(center=(0.0, 0.0), side=4.0, nu=(0.6, 0.8), k=1, h=0.5)
-        loc = localize_integrand(cell, euclid())
-        for _ in range(10):
-            z = rng.normal(size=(1, 2))
-            xi = rng.normal(size=(1, 1, 2))
-            assert loc.eval_cells(z, xi)[0] == pytest.approx(np.linalg.norm(xi))
-
-    def test_laminate_becomes_local_normal_direction(self, rng):
-        # laminate varying along y1, normal e1: locally the coefficient
-        # varies along z2 (the last local axis maps onto the normal)
-        cell = make_cell(center=(0.0, 0.0), side=4.0, nu=(1.0, 0.0), k=1, h=0.5)
-        g = laminate(1.0, 2.0, segment=1.0, axis=0)
-        loc = localize_integrand(cell, g)
-        R, c = cell.rotation.matrix, cell.center
-        for _ in range(20):
-            z = rng.uniform(-2, 2, size=(1, 2))
-            xi = rng.normal(size=(1, 1, 2))
-            expected = g.eval_cells(z @ R.T + c, xi @ R.T)
-            np.testing.assert_allclose(loc.eval_cells(z, xi), expected)
-        z_sweep = np.column_stack([np.zeros(9), np.linspace(-2, 2, 9)])
-        coeffs = loc.coeff_cells(z_sweep)
-        assert len(set(np.round(coeffs, 12))) == 2
-
-    def test_preserves_admissibility_constants(self):
-        cell = make_cell(center=(0.7, -0.3), side=4.0, nu=(0.6, 0.8), k=1, h=0.5)
-        g = laminate(1.0, 2.0)
-        loc = localize_integrand(cell, g)
-        report = validate_admissibility(loc)
-        assert report.passed
-        assert loc.C == g.C and loc.alpha == g.alpha
-
-    def test_generic_integrand_transforms_gradient(self, rng):
-        from cellhom.integrand import Integrand
-
-        def aniso(x, xi):
-            return float(abs(xi[0, 0]) + 0.5 * abs(xi[0, 1]))
-
-        g = Integrand.from_pointwise("aniso", aniso, C=2.0, alpha=0.5)
-        cell = make_cell(center=(0.0, 0.0), side=4.0, nu=(0.6, 0.8), k=1, h=0.5)
-        loc = localize_integrand(cell, g)
-        R = cell.rotation.matrix
-        z = rng.normal(size=(3, 2))
-        xi = rng.normal(size=(3, 1, 2))
-        np.testing.assert_allclose(
-            loc.eval_cells(z, xi), g.eval_cells(z @ R.T, xi @ R.T)
-        )

@@ -143,21 +143,19 @@ class TestSubadditiveProcess:
 
     def test_zero_jump_vanishes(self):
         model = make_checkerboard(3, 1.0, 2.0)
-        val = subadditive_process_eval(model, [0.0], E2, [(0.0, 1.0)], h=0.25)
+        val = subadditive_process_eval(model, [0.0], E2, [(0.0, 1.0)], h=0.25).extrapolated
         assert val == pytest.approx(0.0, abs=1e-8)
 
     def test_upper_bound_by_datum_energy(self):
         model = make_checkerboard(3, 1.0, 2.0)
-        val = subadditive_process_eval(model, [1.0], E2, [(0.0, 1.0)], h=0.25)
+        val = subadditive_process_eval(model, [1.0], E2, [(0.0, 1.0)], h=0.25).extrapolated
         C = model.base.C * max(model.a_max, 1.0 / model.a_min)
         assert 0.0 <= val <= C * 1.0 * RAMP_SLOPE_MAX * 1.0
 
     def test_subadditive_on_halving_split(self):
         model = make_checkerboard(3, 1.0, 2.0)
-        whole = subadditive_process_eval(model, [1.0], E2, [(0.0, 2.0)], h=0.25)
-        parts = subadditive_process_eval(model, [1.0], E2, [(0.0, 1.0)], h=0.25) + subadditive_process_eval(
-            model, [1.0], E2, [(1.0, 2.0)], h=0.25
-        )
+        whole = subadditive_process_eval(model, [1.0], E2, [(0.0, 2.0)], h=0.25).extrapolated
+        parts = sum(subadditive_process_eval(model, [1.0], E2, p, h=0.25).extrapolated for p in ([(0.0, 1.0)], [(1.0, 2.0)]))
         assert whole <= parts * 1.05
 
     def test_lattice_covariance_exact(self):
@@ -165,8 +163,8 @@ class TestSubadditiveProcess:
         M, rot = lattice_period((0.6, 0.8))
         z_nu = np.round(M * rot.matrix @ np.array([1.0, 0.0])).astype(int)
         assert abs(z_nu @ np.array([0.6, 0.8])) < 1e-12
-        a = subadditive_process_eval(model, [1.0], (0.6, 0.8), [(1.0, 2.0)], h=0.25)
-        b = subadditive_process_eval(shift(model, z_nu), [1.0], (0.6, 0.8), [(0.0, 1.0)], h=0.25)
+        a = subadditive_process_eval(model, [1.0], (0.6, 0.8), [(1.0, 2.0)], h=0.25).extrapolated
+        b = subadditive_process_eval(shift(model, z_nu), [1.0], (0.6, 0.8), [(0.0, 1.0)], h=0.25).extrapolated
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_bad_interval(self):

@@ -7,7 +7,6 @@ from cellhom.integrand import (
     UnresolvedRecessionError,
     area,
     euclid,
-    eval_density,
     eval_recession,
     laminate,
     make_checkerboard,
@@ -29,28 +28,35 @@ def sqrt_kink():
     )
 
 
+class TestIntegrand:
+    def test_profile_deriv_is_required(self):
+        # the u-step reweights with profile_deriv, so the type demands it
+        with pytest.raises(TypeError, match="profile_deriv"):
+            Integrand(id="no-deriv", C=1.0, alpha=0.5, profile=lambda s: np.asarray(s, dtype=float))
+
+
 class TestEvalDensity:
     def test_euclid_norm(self):
-        assert eval_density(euclid(), (0.0, 0.0), [[3.0, 4.0]]) == pytest.approx(5.0)
+        assert euclid().eval((0.0, 0.0), [[3.0, 4.0]]) == pytest.approx(5.0)
 
     def test_area_zero_gradient(self):
-        assert eval_density(area(), (0.3, -2.0), [[0.0, 0.0]]) == pytest.approx(1.0)
+        assert area().eval((0.3, -2.0), [[0.0, 0.0]]) == pytest.approx(1.0)
 
     def test_laminate_piecewise_coefficient(self):
         g = laminate(1.0, 2.0)
-        assert eval_density(g, (1.5, 0.0), [[1.0, 0.0]]) == pytest.approx(2.0)
-        assert eval_density(g, (0.5, 0.0), [[1.0, 0.0]]) == pytest.approx(1.0)
+        assert g.eval((1.5, 0.0), [[1.0, 0.0]]) == pytest.approx(2.0)
+        assert g.eval((0.5, 0.0), [[1.0, 0.0]]) == pytest.approx(1.0)
 
     def test_purity_bit_identical(self):
         g = area()
-        vals = {eval_density(g, (0.1, 0.2), [[1.7, -0.3]]) for _ in range(10)}
+        vals = {g.eval((0.1, 0.2), [[1.7, -0.3]]) for _ in range(10)}
         assert len(vals) == 1
 
     def test_rejects_non_finite(self):
         with pytest.raises(InputDomainError):
-            eval_density(euclid(), (0.0, np.nan), [[1.0, 0.0]])
+            euclid().eval((0.0, np.nan), [[1.0, 0.0]])
         with pytest.raises(InputDomainError):
-            eval_density(euclid(), (0.0, 0.0), [[np.inf, 0.0]])
+            euclid().eval((0.0, 0.0), [[np.inf, 0.0]])
 
 
 class TestEvalRecession:

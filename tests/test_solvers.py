@@ -355,16 +355,6 @@ class TestMinimizeUGivenV:
         with pytest.raises(InputDomainError):
             minimize_u_given_v(cell, euclid(), None, bdata, 0.0)
 
-    def test_rejects_generic_density(self):
-        # a density given only pointwise has no radial profile to reweight
-        g = Integrand.from_pointwise("aniso", lambda x, xi: float(abs(xi[0, 0]) + 0.5 * abs(xi[0, 1])), 2.0, 0.5)
-        cell = make_cell((0.0, 0.0), 2.0, (0.0, 1.0), 1, 0.5)
-        bdata = affine_datum(cell, [[1.0, 0.0]])
-        with pytest.raises(PreconditionError, match="radial"):
-            minimize_u_given_v(cell, g, None, bdata, 1e-2)
-        with pytest.raises(PreconditionError, match="radial"):
-            solve_bulk_cell(cell, g, [[1.0, 0.0]])
-
 
 class TestMinimizeVGivenU:
     def test_constant_u_gives_ones(self):
