@@ -42,7 +42,6 @@ from .integrand import (
     RandomIntegrandModel,
     area,
     euclid,
-    eval_recession,
     laminate,
     make_checkerboard,
     resolve,

@@ -357,6 +357,7 @@ def run(config: RunConfig, out_dir=None) -> int:
 
     failed_checks = [c for c in checks if not c.passed]
     unconverged = any(not res.converged for est in estimates for res in est.per_r_results)
+    unconverged = unconverged or any(not c.converged for c in checks)
     if failed_checks or unconverged:
         for c in failed_checks:
             print(f"cellhom: check failed: {c.name} margin={c.margin:.4g}", file=sys.stderr)

@@ -194,7 +194,12 @@ class CellDomain:
 
     @cached_property
     def cell_corner_nodes(self):
-        """Flat node ids of the 2^n corners of every cell, one array per corner."""
+        """Flat node ids of the 2^n corners of every cell, one array per corner.
+
+        Corner ``bits`` is one node forward along every axis a whose bit
+        is set: corner 0 is the cell's base node and corner ``1 << a``
+        its forward neighbour along axis a.
+        """
         sets = []
         for bits in range(2**self.n):
             sl = tuple(slice(1, None) if bits >> a & 1 else slice(0, -1) for a in range(self.n))
@@ -202,21 +207,6 @@ class CellDomain:
             ids.setflags(write=False)
             sets.append(ids)
         return tuple(sets)
-
-    @cached_property
-    def cell_edge_nodes(self):
-        """Base node ids and their forward neighbour per axis (the FD stencil)."""
-        base = tuple(slice(0, -1) for _ in range(self.n))
-        pbase = self.node_index[base].reshape(-1)
-        pbase.setflags(write=False)
-        shifts = []
-        for axis in range(self.n):
-            sl = list(base)
-            sl[axis] = slice(1, None)
-            ids = self.node_index[tuple(sl)].reshape(-1)
-            ids.setflags(write=False)
-            shifts.append(ids)
-        return pbase, tuple(shifts)
 
     @cached_property
     def free_operator(self):
@@ -272,11 +262,13 @@ class FreeNodeOperator:
         pos = np.full(cell.num_nodes, -1)
         pos[self.free] = np.arange(nfree)
 
-        pbase, pshift = cell.cell_edge_nodes
-        stencil = []
-        for q in pshift:
-            stencil += [(pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0)]
+        # the stencil pairs each cell's base corner with its forward neighbours
         corners = cell.cell_corner_nodes
+        pbase = corners[0]
+        stencil = []
+        for a in range(cell.n):
+            q = corners[1 << a]
+            stencil += [(pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0)]
         # each term: row and column nodes of shape (pairs, cells), one sign per pair
         terms = {}
         for t, pairs in (("stencil", stencil), ("mass", [(p, q, 1.0) for p in corners for q in corners])):

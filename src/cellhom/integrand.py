@@ -1,4 +1,4 @@
-"""Energy densities with linear growth and their recession functions.
+"""Energy densities with linear growth and their declared recession slopes.
 
 A density f(x, xi) maps a spatial point x in R^n and a gradient matrix
 xi in R^{N x n} to a nonnegative value, and is admissible for constants
@@ -13,7 +13,11 @@ C^-1 |xi| <= f_inf(x, xi) <= C |xi|.
 
 Every density factors through the gradient magnitude,
 f(x, xi) = coeff(x) * profile(|xi|), the form the cell solvers'
-reweighted u-step needs.
+reweighted u-step needs.  Its recession function is then
+coeff(x) * k * |xi|, where the author declares the slope
+k = lim_{s->inf} profile(s)/s next to ``profile_deriv``;
+``validate_admissibility`` checks the declared slope against the
+scaled values f(x, t*xi)/t.
 
 Random stationary densities are realised as ``RandomIntegrandModel``:
 a unit-lattice coefficient field drawn from a splittable 64-bit hash of
@@ -33,8 +37,6 @@ __all__ = [
     "RandomIntegrandModel",
     "ValidationReport",
     "InputDomainError",
-    "UnresolvedRecessionError",
-    "eval_recession",
     "validate_admissibility",
     "make_checkerboard",
     "shift",
@@ -44,29 +46,8 @@ __all__ = [
     "resolve",
 ]
 
-RECESSION_T_CAP = 1e8
-
-
 class InputDomainError(ValueError):
     """Raised when an evaluation argument is outside the admissible domain."""
-
-
-class UnresolvedRecessionError(RuntimeError):
-    """Raised when the recession limit cannot be certified within the t-cap.
-
-    Carries ``achieved_bound``, the error bound at the capped scaling.
-    """
-
-    def __init__(self, message, achieved_bound):
-        super().__init__(message)
-        self.achieved_bound = achieved_bound
-
-
-def _as_points(x, n=None):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if n is not None and x.shape[-1] != n:
-        raise InputDomainError(f"expected points in R^{n}, got shape {x.shape}")
-    return x
 
 
 def _frob(xis):
@@ -91,13 +72,12 @@ class Integrand:
     profile_deriv : callable
         Derivative of ``profile`` on (0, inf), which the u-step
         reweights with.
+    recession_slope : float
+        lim_{s->inf} profile(s)/s; the recession is then
+        coeff(x) * recession_slope * |xi|.
     coeff : callable or None
         Spatial factor; maps points of shape (M, n) to values (M,).
         ``None`` means coeff == 1.
-    recession_slope : float or None
-        lim_{s->inf} profile(s)/s when available in closed form; the
-        closed recession is then coeff(x) * recession_slope * |xi|.
-        ``None`` means the recession is evaluated by t-scaling.
     """
 
     id: str
@@ -105,8 +85,8 @@ class Integrand:
     alpha: float
     profile: Callable
     profile_deriv: Callable
+    recession_slope: float
     coeff: Optional[Callable] = None
-    recession_slope: Optional[float] = None
     is_positively_homogeneous: bool = False
 
     def __post_init__(self):
@@ -145,19 +125,11 @@ class Integrand:
 
     def recession_integrand(self):
         """The recession density as a standalone 1-homogeneous integrand."""
-        slope = self.recession_slope
-        if slope is None:
-            # numeric recession: certify the radial slope once via the
-            # t-scaling, at the tightest tolerance the scaling cap allows
-            M = self.C * (1.0 + (2.0 * self.C) ** (1.0 - self.alpha))
-            tol = max(1e-9, 2.0 * M / RECESSION_T_CAP**self.alpha)
-            slope = eval_recession(self, np.zeros(1), np.ones((1, 1)), tol=tol)
         return replace(
             self,
             id=f"recession({self.id})",
-            profile=lambda s, k=slope: k * s,
-            profile_deriv=lambda s, k=slope: np.full_like(np.asarray(s, dtype=float), k),
-            recession_slope=slope,
+            profile=lambda s, k=self.recession_slope: k * s,
+            profile_deriv=lambda s, k=self.recession_slope: np.full_like(np.asarray(s, dtype=float), k),
             is_positively_homogeneous=True,
         )
 
@@ -167,37 +139,6 @@ class Integrand:
 # ----------------------------------------------------------------------
 
 
-def eval_recession(g: Integrand, x, xi, tol: float) -> float:
-    """Recession value f_inf(x, xi) within ``tol``.
-
-    Uses the closed form when declared, otherwise returns f(x, T*xi)/T
-    with T chosen so the admissibility-rate bound M/T^alpha on the unit
-    sphere, scaled by |xi|, stays below tol.  M is derived from the
-    declared (C, alpha): M = C * (1 + (2C)^(1-alpha)).
-    """
-    if tol <= 0:
-        raise InputDomainError("tol must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    norm = float(_frob(xi[None, :, :])[0])
-    if norm == 0.0:
-        return 0.0
-    if g.recession_slope is not None:
-        return float(g.coeff_cells(x[None, :])[0] * g.recession_slope * norm)
-    M = g.C * (1.0 + (2.0 * g.C) ** (1.0 - g.alpha))
-    T = max((M * norm / tol) ** (1.0 / g.alpha), 1.0)
-    if T > RECESSION_T_CAP:
-        achieved = M * norm / RECESSION_T_CAP**g.alpha
-        raise UnresolvedRecessionError(
-            f"recession of {g.id!r} needs scaling {T:.3g} beyond cap {RECESSION_T_CAP:.3g}; "
-            f"achievable bound {achieved:.3g} > tol {tol:.3g}",
-            achieved_bound=achieved,
-        )
-    unit = xi / norm
-    val = g.eval_cells(x[None, :], (T * unit)[None, :, :])[0] / T
-    return float(val * norm)
-
-
 @dataclass
 class ValidationReport:
     """Worst-case violation margins over a random sample; <= 0 passes."""
@@ -205,7 +146,6 @@ class ValidationReport:
     integrand_id: str
     growth_margin: float
     recession_rate_margins: dict
-    recession_homogeneity_margin: float
     recession_bounds_margin: float
     num_samples: int
     passed: bool
@@ -233,8 +173,6 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
     C = g.C
     growth = -np.inf
     rate_margins = {}
-    homog = -np.inf
-    rec_bounds = -np.inf
 
     pts = np.repeat(xs, len(xis), axis=0)
     mats = np.tile(xis, (len(xs), 1, 1))
@@ -242,44 +180,26 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
     f = g.eval_cells(pts, mats)
     growth = float(np.max(np.maximum(norms / C - f, f - C * (norms + 1.0))))
 
-    def recession(x, xi, norm, scale=1.0):
-        # pick a tolerance achievable under the t-cap for numeric recessions
-        if g.recession_slope is not None:
-            tol = 1e-12 * max(scale * norm, 1.0)
-        else:
-            M = C * (1.0 + (2.0 * C) ** (1.0 - g.alpha))
-            floor = 2.0 * M * scale * norm / RECESSION_T_CAP**g.alpha
-            tol = max(1e-8 * max(scale * norm, 1.0), floor)
-        return eval_recession(g, x, xi, tol=tol), tol
-
-    rec = [recession(pts[m], mats[m], norms[m]) for m in range(len(pts))]
-    finf = np.array([v for v, _ in rec])
-    finf_tol = np.array([t for _, t in rec])
-    rec_bounds = float(np.max(np.maximum(norms / C - finf, finf - C * norms) - finf_tol))
+    # k * |xi| is 1-homogeneous by construction; the rate margins check
+    # the declared slope k against the scaled values f(x, t*xi)/t
+    finf = g.recession_integrand().eval_cells(pts, mats)
+    rec_bounds = float(np.max(np.maximum(norms / C - finf, finf - C * norms)))
 
     for t in spec["t_values"]:
         ft = g.eval_cells(pts, t * mats)
         lhs = np.abs(finf - ft / t)
         rhs = (C / t) * (1.0 + ft ** (1.0 - g.alpha))
-        rate_margins[float(t)] = float(np.max(lhs - rhs - finf_tol))
-
-    for lam in (0.5, 2.0, 10.0):
-        rec_lam = [recession(pts[m], lam * mats[m], norms[m], scale=lam) for m in range(len(pts))]
-        finf_lam = np.array([v for v, _ in rec_lam])
-        allow = np.array([t for _, t in rec_lam]) + lam * finf_tol + 1e-9 * (1.0 + lam * norms)
-        homog = max(homog, float(np.max(np.abs(finf_lam - lam * finf) - allow)))
+        rate_margins[float(t)] = float(np.max(lhs - rhs))
 
     passed = (
         growth <= slack
         and all(v <= slack for v in rate_margins.values())
-        and homog <= slack
         and rec_bounds <= slack
     )
     return ValidationReport(
         integrand_id=g.id,
         growth_margin=growth,
         recession_rate_margins=rate_margins,
-        recession_homogeneity_margin=homog,
         recession_bounds_margin=rec_bounds,
         num_samples=len(pts),
         passed=passed,

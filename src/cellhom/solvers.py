@@ -51,7 +51,6 @@ from scipy.linalg.lapack import dpbsv
 from scipy.sparse.linalg import spsolve
 
 from .fields import (
-    EnergyBreakdown,
     PhaseField,
     PreconditionError,
     VectorField,
@@ -95,7 +94,6 @@ class CellResult:
     value: float
     u: VectorField
     v: PhaseField
-    breakdown: EnergyBreakdown
     iterations: int
     energy_trace: list
     converged: bool
@@ -290,7 +288,6 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
         value=best_E,
         u=best_u,
         v=PhaseField.ones(cell),
-        breakdown=EnergyBreakdown.of(best_E, 0.0, 0.0),
         iterations=iters,
         energy_trace=trace,
         converged=converged,
@@ -366,7 +363,6 @@ def solve_surface_cell(
         value=best_E,
         u=best_u,
         v=best_v,
-        breakdown=surface_energy(cell, ginf, best_u, best_v),
         iterations=sweeps,
         energy_trace=trace,
         converged=converged,

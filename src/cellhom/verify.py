@@ -51,7 +51,12 @@ RAMP_SLOPE_MAX = 1.5
 
 @dataclass
 class PropertyCheck:
-    """One verified property: pass iff margin <= tolerance."""
+    """One verified property: pass iff margin <= tolerance.
+
+    ``converged`` is False when a cell solve behind one of the estimates
+    the check read did not converge; the margin still stands, but rests
+    on upper bounds.
+    """
 
     name: str
     inputs: dict
@@ -59,9 +64,10 @@ class PropertyCheck:
     tolerance: float
     passed: bool
     provenance: str
+    converged: bool
 
     @staticmethod
-    def of(name, inputs, margin, tolerance, provenance):
+    def of(name, inputs, margin, tolerance, provenance, estimates=()):
         return PropertyCheck(
             name=name,
             inputs=inputs,
@@ -69,6 +75,7 @@ class PropertyCheck:
             tolerance=float(tolerance),
             passed=bool(margin <= tolerance),
             provenance=provenance,
+            converged=all(res.converged for est in estimates for res in est.per_r_results),
         )
 
 
@@ -91,6 +98,7 @@ def check_fhom_growth(estimates: Sequence[HomEstimate], C: float, rel_slack: flo
         margin,
         rel_slack,
         "growth-bounds:effective-bulk-density",
+        estimates,
     )
 
 
@@ -120,6 +128,7 @@ def check_fhom_lipschitz(
         worst - cap,
         0.0,
         "lipschitz:effective-bulk-density",
+        estimates,
     )
 
 
@@ -141,14 +150,15 @@ def check_fhom_rank_one_convexity(
     """
     rng = np.random.default_rng(seed)
     margin = -np.inf
+    estimates = []
     for _ in range(lines):
         xi0 = rng.normal(size=(N, n))
         a = rng.normal(size=N)
         b = rng.normal(size=n)
         rank1 = np.outer(a, b) / max(_norm(np.outer(a, b)), 1e-12)
-        mid = estimate_f_hom(g, xi0, schedule).extrapolated
-        left = estimate_f_hom(g, xi0 - step * rank1, schedule).extrapolated
-        right = estimate_f_hom(g, xi0 + step * rank1, schedule).extrapolated
+        line = [estimate_f_hom(g, xi, schedule) for xi in (xi0, xi0 - step * rank1, xi0 + step * rank1)]
+        estimates += line
+        mid, left, right = (est.extrapolated for est in line)
         chord = 0.5 * (left + right)
         margin = max(margin, (mid - chord) / max(abs(chord), 1e-12))
     return PropertyCheck.of(
@@ -157,6 +167,7 @@ def check_fhom_rank_one_convexity(
         margin,
         rel_slack,
         "rank-one-convexity:effective-bulk-density",
+        estimates,
     )
 
 
@@ -179,6 +190,7 @@ def check_ghom_bounds(estimates: Sequence[HomEstimate], C: float, rel_slack: flo
         margin,
         rel_slack,
         "amplitude-bounds:effective-surface-density",
+        estimates,
     )
 
 
@@ -215,6 +227,7 @@ def check_ghom_symmetry_and_lipschitz(
         margin,
         0.0,
         "symmetry-and-lipschitz:effective-surface-density",
+        [est for pair in pairs for est in pair] + list(sweep),
     )
 
 
@@ -236,6 +249,7 @@ def check_recession_routes(
         margin,
         0.0,
         "recession-commutes-with-homogenisation",
+        (e1, e2),
     )
 
 
@@ -262,10 +276,16 @@ def check_subadditive_process(
     C = model.base.C * max(model.a_max, 1.0 / model.a_min)
     margin = -np.inf
     details = {}
+    estimates = []
+
+    def mu(m, box):
+        est = subadditive_process_eval(m, zeta, nu, box, h)
+        estimates.append(est)
+        return est.extrapolated
 
     for idx, (whole, parts) in enumerate(splits):
-        mu_whole = subadditive_process_eval(model, zeta, nu, whole, h).extrapolated
-        mu_parts = sum(subadditive_process_eval(model, zeta, nu, p, h).extrapolated for p in parts)
+        mu_whole = mu(model, whole)
+        mu_parts = sum(mu(model, p) for p in parts)
         rel = (mu_whole - mu_parts) / max(mu_parts, 1e-12)
         details[f"split{idx}"] = (mu_whole, mu_parts)
         margin = max(margin, rel - slack)
@@ -282,8 +302,8 @@ def check_subadditive_process(
         z_nu = np.round(M * rot.matrix @ np.concatenate([z.astype(float), [0.0]])).astype(int)
         base_box = [(0.0, 1.0)] * (n - 1)
         shifted_box = [(a + z[i], b + z[i]) for i, (a, b) in enumerate(base_box)]
-        mu_shifted_box = subadditive_process_eval(model, zeta, nu, shifted_box, h).extrapolated
-        mu_shifted_model = subadditive_process_eval(shift(model, z_nu), zeta, nu, base_box, h).extrapolated
+        mu_shifted_box = mu(model, shifted_box)
+        mu_shifted_model = mu(shift(model, z_nu), base_box)
         scale = max(abs(mu_shifted_box), abs(mu_shifted_model), 1e-12)
         rel = abs(mu_shifted_box - mu_shifted_model) / scale
         details[f"shift{tuple(z)}"] = (mu_shifted_box, mu_shifted_model)
@@ -295,6 +315,7 @@ def check_subadditive_process(
         margin,
         0.0,
         "covariant-subadditive-bounded-process",
+        estimates,
     )
 
 

@@ -214,6 +214,22 @@ class TestVerifyCommand:
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert "passed=False" in (tmp_path / "out" / "verify.report").read_text()
 
+    def test_unconverged_check_exit_two(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import cellhom.cli as cli_mod
+
+        def fake(**kw):
+            alpha, beta = self._fake_checks(True)
+            return [alpha, dataclasses.replace(beta, converged=False)]
+
+        monkeypatch.setattr(cli_mod, "run_suite", fake)
+        cfg = parse_config("command = verify\n")
+        assert run(cfg, out_dir=tmp_path / "out") == 2
+        assert "one or more solves unconverged" in capsys.readouterr().err
+        report = (tmp_path / "out" / "verify.report").read_text().splitlines()
+        assert report[1].startswith("CHECK beta passed=True")
+
     def test_tol_scale_forwarded(self, tmp_path, monkeypatch):
         import cellhom.cli as cli_mod
 

@@ -1,13 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cellhom.integrand import (
     InputDomainError,
     Integrand,
-    UnresolvedRecessionError,
     area,
     euclid,
-    eval_recession,
     laminate,
     make_checkerboard,
     resolve,
@@ -17,13 +17,14 @@ from cellhom.integrand import (
 
 
 def sqrt_kink():
-    """f(x, xi) = |xi| + sqrt(|xi|); recession |xi|, no closed form declared."""
+    """f(x, xi) = |xi| + sqrt(|xi|); recession |xi|, approached at rate t^(-1/2)."""
     return Integrand(
         id="sqrt-kink",
         C=2.0,
         alpha=0.5,
         profile=lambda s: np.asarray(s, dtype=float) + np.sqrt(np.asarray(s, dtype=float)),
         profile_deriv=lambda s: 1.0 + 0.5 / np.sqrt(np.maximum(np.asarray(s, dtype=float), 1e-300)),
+        recession_slope=1.0,
         is_positively_homogeneous=False,
     )
 
@@ -33,6 +34,17 @@ class TestIntegrand:
         # the u-step reweights with profile_deriv, so the type demands it
         with pytest.raises(TypeError, match="profile_deriv"):
             Integrand(id="no-deriv", C=1.0, alpha=0.5, profile=lambda s: np.asarray(s, dtype=float))
+
+    def test_recession_slope_is_required(self):
+        # the recession is coeff(x) * slope * |xi|, so the slope is declared
+        with pytest.raises(TypeError, match="recession_slope"):
+            Integrand(
+                id="no-slope",
+                C=1.0,
+                alpha=0.5,
+                profile=lambda s: np.asarray(s, dtype=float),
+                profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+            )
 
 
 class TestEvalDensity:
@@ -61,47 +73,13 @@ class TestEvalDensity:
 
 class TestEvalRecession:
     def test_area_analytic_limit(self):
-        assert eval_recession(area(), (0.0, 0.0), [[1.0, 0.0]], tol=1e-6) == pytest.approx(1.0)
+        assert area().recession_integrand().eval((0.0, 0.0), [[1.0, 0.0]]) == pytest.approx(1.0)
 
     def test_euclid_already_homogeneous(self):
-        assert eval_recession(euclid(), (0.0, 0.0), [[0.0, 2.0]], tol=1e-3) == pytest.approx(2.0)
+        assert euclid().recession_integrand().eval((0.0, 0.0), [[0.0, 2.0]]) == pytest.approx(2.0)
 
     def test_zero_matrix(self):
-        assert eval_recession(area(), (0.0, 0.0), [[0.0, 0.0]], tol=1e-6) == 0.0
-
-    def test_sqrt_kink_against_richardson_oracle(self):
-        # oracle: scaled values f(t xi)/t at t = 1e3, 1e4, 1e5 extrapolated
-        # in t^(-1/2) (the known correction order for this profile)
-        g = sqrt_kink()
-        x = np.zeros(2)
-        xi = np.array([[1.0, 0.0]])
-        ts = [1e3, 1e4, 1e5]
-        scaled = [g.eval(x, t * xi) / t for t in ts]
-        q = np.sqrt(ts[0] / ts[1])
-        oracle = (scaled[1] - q * scaled[0]) / (1.0 - q)
-        assert oracle == pytest.approx(1.0, abs=1e-6)
-        val = eval_recession(g, x, xi, tol=1e-3)
-        assert val == pytest.approx(oracle, abs=1e-3)
-
-    def test_homogeneity_of_numeric_recession(self):
-        g = sqrt_kink()
-        x = np.zeros(2)
-        xi = np.array([[0.8, -0.6]])
-        tol = 1e-3  # resolvable under the default scaling cap for (C, alpha) = (2, 1/2)
-        base = eval_recession(g, x, xi, tol)
-        for lam in (0.5, 2.0, 10.0):
-            val = eval_recession(g, x, lam * xi, tol * lam)
-            assert abs(val - lam * base) <= 2.0 * tol * lam
-
-    def test_cap_raises_with_achieved_bound(self):
-        g = sqrt_kink()
-        with pytest.raises(UnresolvedRecessionError) as exc:
-            eval_recession(g, np.zeros(2), [[1.0, 0.0]], tol=1e-12)
-        assert exc.value.achieved_bound > 1e-12
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(InputDomainError):
-            eval_recession(euclid(), np.zeros(2), [[1.0, 0.0]], tol=0.0)
+        assert area().recession_integrand().eval((0.0, 0.0), [[0.0, 0.0]]) == 0.0
 
 
 class TestValidateAdmissibility:
@@ -130,6 +108,13 @@ class TestValidateAdmissibility:
         report = validate_admissibility(bad)
         assert not report.passed
         assert report.growth_margin > 0
+
+    def test_misdeclared_slope_fails_rate(self):
+        # f(t xi)/t tends to |xi|, so a declared slope of 1.1 misses the
+        # scaled values by 0.1 |xi|, beyond the (C, alpha) rate bound
+        report = validate_admissibility(replace(sqrt_kink(), recession_slope=1.1))
+        assert not report.passed
+        assert max(report.recession_rate_margins.values()) > 0
 
     def test_sample_counts_validated(self):
         with pytest.raises(InputDomainError):

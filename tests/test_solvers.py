@@ -50,9 +50,9 @@ def trace_is_non_increasing(trace, tol=1e-9):
 
 def assemble_reference(cell, edge_w, mass_w=None):
     """Full nodal matrix of the stencil (and corner mass) couplings, COO-assembled."""
-    pbase, pshift = cell.cell_edge_nodes
+    pbase = cell.cell_corner_nodes[0]
     rows, cols, vals = [], [], []
-    for q in pshift:
+    for q in (cell.cell_corner_nodes[1 << a] for a in range(cell.n)):
         rows += [pbase, q, pbase, q]
         cols += [pbase, q, q, pbase]
         vals += [edge_w, edge_w, -edge_w, -edge_w]
@@ -115,11 +115,11 @@ def sparse_products(cell, term, w, x):
     op = cell.free_operator
     pos = np.full(cell.num_nodes, -1)
     pos[op.free] = np.arange(op.nfree)
+    corners = cell.cell_corner_nodes
     if term == "stencil":
-        pbase, pshift = cell.cell_edge_nodes
+        pbase, pshift = corners[0], [corners[1 << a] for a in range(cell.n)]
         pairs = [e for q in pshift for e in ((pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0))]
     else:
-        corners = cell.cell_corner_nodes
         pairs = [(p, q, 1.0) for p in corners for q in corners]
     c = np.tile(np.arange(cell.num_cells), len(pairs))
     nodes = np.concatenate([q for _, q, _ in pairs])
@@ -336,6 +336,7 @@ class TestMinimizeUGivenV:
             alpha=0.5,
             profile=lambda s: np.asarray(s, dtype=float),
             profile_deriv=lambda s: np.full_like(np.asarray(s, dtype=float), np.nan),
+            recession_slope=1.0,
         )
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         bdata = affine_datum(cell, [[1.0, 0.0]])

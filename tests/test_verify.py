@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cellhom.solvers
 from cellhom.homogenise import HomEstimate, Schedule
 from cellhom.integrand import euclid, make_checkerboard
 from cellhom.verify import (
@@ -123,6 +124,14 @@ class TestSubadditiveProcessCheck:
         splits = [([(0.0, 2.0)], [[(0.0, 1.0)], [(1.0, 2.0)]])]
         check = check_subadditive_process(model, [1.0], E2, splits, h=0.25, shifts=[(1,)])
         assert check.passed
+
+    def test_unconverged_solve_is_reported(self, monkeypatch):
+        # one sweep per smoothing level cannot meet the level's decrease test
+        monkeypatch.setattr(cellhom.solvers, "AM_MAX_ITERS", 1)
+        model = make_checkerboard(3, 1.0, 2.0)
+        splits = [([(0.0, 1.0)], [[(0.0, 1.0)]])]
+        check = check_subadditive_process(model, [1.0], E2, splits, h=0.25)
+        assert not check.converged
 
 
 class TestRankOneConvexity:
