@@ -286,9 +286,10 @@ def run(config: RunConfig, out_dir=None) -> int:
             ginf = g.recession_integrand()
             estimates += [estimate_g_hom(ginf, z, config.nu, sched) for z in config.zeta]
         if config.command == "mc":
-            argument = config.xi[0] if config.mc_quantity == "f_hom" else (config.zeta[0], config.nu)
+            arguments = config.xi if config.mc_quantity == "f_hom" else [(z, config.nu) for z in config.zeta]
             estimates += [
                 mc_expectation(model, config.mc_quantity, argument, config.seeds, r, config.h, config.k)
+                for argument in arguments
                 for r in config.r_values
             ]
         if config.command == "mu":

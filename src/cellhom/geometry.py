@@ -240,18 +240,16 @@ class FreeNodeOperator:
     free-fixed block moves to the right-hand side.
 
     Free nodes are numbered in the grid's C order, so the free-free block
-    is a band: its half-width ``bw`` is 1 in 1D and dims[-1] in 2D, where
-    the diagonal corner couplings reach one past the interior count of
-    the last axis.  For n <= 2 its storage is the LAPACK upper band of
-    shape (bw + 1, nfree), flattened in column-major order, which LAPACK
-    factorises in place; for n >= 3, where the band is about d^2 wide, it
-    is the data array of a fixed CSC pattern (``indices``, ``indptr``)
-    holding both triangles; ``diag`` lists the diagonal's slots.  Each
-    term is plain index arrays, with no scipy.sparse matrix:
-    :meth:`assemble` adds one coefficient per (cell, slot) times the cell
-    weight with ``np.bincount``, each slot taking its cells in ascending
-    order, and :meth:`fixed_product` sums the free-fixed couplings in a
-    fixed order.  An operator is shared by every cell of its dims, so
+    is a band whose half-width ``bw`` is the offset of a cell's diagonal
+    corner pair, sum_a prod_{b > a} (dims[b] - 1): 1 in 1D, dims[-1] in
+    2D.  Its storage is the LAPACK upper band of shape (bw + 1, nfree),
+    flattened in column-major order, which LAPACK factorises in place;
+    ``diag`` lists the diagonal's slots.  Each term is plain index
+    arrays, with no scipy.sparse matrix: :meth:`assemble` adds one
+    coefficient per (cell, slot) times the cell weight with
+    ``np.bincount``, each slot taking its cells in ascending order, and
+    :meth:`fixed_product` sums the free-fixed couplings in a fixed
+    order.  An operator is shared by every cell of its dims, so
     nothing in it may be written to.
     """
 
@@ -276,22 +274,12 @@ class FreeNodeOperator:
             terms[t] = (np.stack(p), np.stack(q), np.array(sign))
 
         # every stencil pair is also a corner pair, so the mass term's
-        # free-free entries fix the band width and the sparse pattern
+        # free-free entries fix the band width
         i, j = pos[terms["mass"][0]], pos[terms["mass"][1]]
         inner = (i >= 0) & (j >= 0)
-        self.banded = cell.n <= 2
-        if self.banded:
-            self.bw = int(np.max(np.abs(i[inner] - j[inner]), initial=0))
-            self.nslots = (self.bw + 1) * nfree
-            self.diag = np.arange(nfree) * (self.bw + 1) + self.bw
-            self.indices = self.indptr = None
-        else:
-            # column-major keys j*nfree + i are the CSC order
-            keys = np.unique(j[inner] * nfree + i[inner])
-            self.nslots = keys.size
-            self.indices = keys % nfree
-            self.indptr = np.searchsorted(keys, np.arange(nfree + 1) * nfree)
-            self.diag = np.searchsorted(keys, np.arange(nfree) * (nfree + 1))
+        self.bw = int(np.max(np.abs(i[inner] - j[inner]), initial=0))
+        self.nslots = (self.bw + 1) * nfree
+        self.diag = np.arange(nfree) * (self.bw + 1) + self.bw
 
         self._band = {}
         self._fixed = {}
@@ -308,12 +296,8 @@ class FreeNodeOperator:
             _, first, group = np.unique(np.stack([p[:, 0], q[:, 0]], 1), axis=0, return_index=True, return_inverse=True)
             coef = np.bincount(group.reshape(-1), weights=sign)[::-1]
             i, j = i[first[::-1]], j[first[::-1]]
-            sel = (i >= 0) & (j >= 0)
-            if self.banded:
-                sel &= i <= j
-                slot = j * (self.bw + 1) + self.bw + i - j
-            else:
-                slot = np.searchsorted(keys, j * nfree + i)
+            sel = (i >= 0) & (j >= 0) & (i <= j)
+            slot = j * (self.bw + 1) + self.bw + i - j
             # couplings to a fixed node go to the spare slot nslots
             used = sel.any(axis=1)
             self._band[t] = (np.where(sel, slot, self.nslots)[used].ravel(), coef[used])

@@ -148,11 +148,12 @@ def estimate_f_inf_hom(
             "f_inf_hom", (xi.copy(),), est.r_values, est.scaled_values, est.per_r_results, route=route
         )
     if route == "recession_of_hom":
-        # one representative solve per t (the largest r, which feeds the
-        # scaled value), so report rows stay aligned with the t-schedule
+        # one solve per t, at the largest r (the one that feeds the scaled
+        # value), so report rows stay aligned with the t-schedule
+        last = replace(schedule, r_values=schedule.r_values[-1:])
         values, results = [], []
         for t in t_schedule:
-            est = estimate_f_hom(g, t * xi, schedule)
+            est = estimate_f_hom(g, t * xi, last)
             values.append(est.extrapolated / t)
             results.append(est.per_r_results[-1])
         return HomEstimate.from_runs(

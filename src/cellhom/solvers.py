@@ -21,11 +21,10 @@ nodal phase values, solved directly; boundary nodes stay 1.
 Both steps sum their cell weights into the free-free block of the
 cell's ``free_operator`` (see :class:`cellhom.geometry.FreeNodeOperator`)
 with ``np.bincount``, with no scipy.sparse scatter, and factorise it once
-per system for all components: in one and two dimensions one call of
-LAPACK's ``dpbsv`` (banded Cholesky, ``dpbtrf`` then ``dpbtrs``), in
-three and more a sparse LU through ``spsolve``.  A factorisation that
-breaks down, or a phase solve with non-finite values, raises
-:class:`SolverBreakdown`.
+per system for all components with one call of LAPACK's ``dpbsv``
+(banded Cholesky, ``dpbtrf`` then ``dpbtrs``), for every dimension.  A
+factorisation that breaks down, or a phase solve with non-finite values,
+raises :class:`SolverBreakdown`.
 
 Alternating minimisation keeps the best (lowest unsmoothed energy) pair
 seen; the recorded energy trace contains accepted energies only and is
@@ -46,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbsv
+# no solver calls spsolve; it stays bound only because cellbench/tracing.py
+# rebinds ``cellhom.solvers.spsolve``
 from scipy.sparse.linalg import spsolve
 
 from .fields import (
@@ -108,17 +108,12 @@ def _solve_free(op, store, rhs):
     """Solve the free-free system held in ``store`` for every column of ``rhs``.
 
     Banded Cholesky (LAPACK dpbsv, which overwrites ``store`` and
-    ``rhs``) for n <= 2; the band of an n >= 3 grid is too wide for it,
-    so those take a sparse LU.  One factorisation serves all columns
-    either way.
+    ``rhs``) in every dimension; one factorisation serves all columns.
     """
-    if op.banded:
-        _, x, info = dpbsv(store.reshape(op.nfree, op.bw + 1).T, rhs, overwrite_ab=1, overwrite_b=1)
-        if info > 0:
-            raise SolverBreakdown(f"banded factorisation failed: {info}-th leading minor not positive definite")
-        return x
-    A = sp.csc_matrix((store, op.indices, op.indptr), shape=(op.nfree, op.nfree))
-    return spsolve(A, rhs).reshape(rhs.shape)
+    _, x, info = dpbsv(store.reshape(op.nfree, op.bw + 1).T, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise SolverBreakdown(f"banded factorisation failed: {info}-th leading minor not positive definite")
+    return x
 
 
 # ----------------------------------------------------------------------

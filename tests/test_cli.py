@@ -177,6 +177,23 @@ class TestRun:
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[1].startswith("g_hom,[1.0];[0.0 1.0],,[2.0],")
 
+    def test_mc_every_argument(self, tmp_path):
+        cfg = parse_config(
+            "command = mc\nintegrand = checkerboard:0,1,2\nmc_quantity = f_hom\n"
+            "xi = 1,0\nxi = 0,1\nr = 2\nh = 0.5\nseeds = 1,2\n"
+        )
+        code = run(cfg, out_dir=tmp_path / "out")
+        assert code in (0, 2)  # 2 allowed: tiny cells may flag unconverged
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [
+            ["f_hom", "[1.0 0.0]", "2.0", "1"],
+            ["f_hom", "[1.0 0.0]", "2.0", "2"],
+            ["f_hom", "[0.0 1.0]", "2.0", "1"],
+            ["f_hom", "[0.0 1.0]", "2.0", "2"],
+        ]
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in summary] == [["f_hom", "[1.0 0.0]"], ["f_hom", "[0.0 1.0]"]]
+
     def test_sweep_combines_quantities(self, tmp_path):
         cfg = parse_config(
             "command = sweep\nintegrand = euclid\nxi = 1,0\nzeta = 1\nnu = 0,1\nr = 4\nh = 0.5\n"

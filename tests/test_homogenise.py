@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cellhom.homogenise
 from cellhom.fields import affine_datum, bulk_energy
 from cellhom.geometry import make_cell
 from cellhom.homogenise import (
@@ -14,6 +15,7 @@ from cellhom.homogenise import (
     subadditive_process_eval,
 )
 from cellhom.integrand import InputDomainError, area, euclid, laminate, make_checkerboard, shift
+from cellhom.solvers import solve_bulk_cell
 from cellhom.verify import RAMP_SLOPE_MAX
 
 E2 = (0.0, 1.0)
@@ -73,6 +75,20 @@ class TestRecessionRoutes:
     def test_unknown_route(self):
         with pytest.raises(InputDomainError):
             estimate_f_inf_hom(euclid(), [[1.0, 0.0]], "backwards", Schedule((4.0,), 0.25))
+
+    def test_recession_of_hom_solves_once_per_t(self, monkeypatch):
+        calls = []
+
+        def counting(cell, g, xi):
+            calls.append(cell.dims)
+            return solve_bulk_cell(cell, g, xi)
+
+        monkeypatch.setattr(cellhom.homogenise, "solve_bulk_cell", counting)
+        t_schedule = (8.0, 32.0, 128.0)
+        est = estimate_f_inf_hom(euclid(), [[1.0, 0.0]], "recession_of_hom", Schedule((2.0, 4.0), 0.5), t_schedule)
+        # only the largest r feeds a row, so only it is solved
+        assert calls == [(8, 8)] * len(t_schedule)
+        assert len(est.per_r_results) == len(t_schedule)
 
 
 class TestEstimateGHom:

@@ -108,9 +108,8 @@ def sparse_products(cell, term, w, x):
     """One term's free-free storage and free-fixed product, as scipy.sparse products.
 
     The per-cell scatter matrix maps cell weights into the operator's
-    storage (the column-major upper band, or the CSC data array), and the
-    gather matrix sums the free-fixed couplings in the order the pairs
-    are listed, cell by cell.
+    storage (the column-major upper band), and the gather matrix sums the
+    free-fixed couplings in the order the pairs are listed, cell by cell.
     """
     op = cell.free_operator
     pos = np.full(cell.num_nodes, -1)
@@ -125,13 +124,8 @@ def sparse_products(cell, term, w, x):
     nodes = np.concatenate([q for _, q, _ in pairs])
     i, j = pos[np.concatenate([p for p, _, _ in pairs])], pos[nodes]
     s = np.repeat([sign for _, _, sign in pairs], cell.num_cells)
-    sel = (i >= 0) & (j >= 0)
-    if op.banded:
-        sel &= i <= j
-        slot = np.ravel_multi_index((op.bw + i[sel] - j[sel], j[sel]), (op.bw + 1, op.nfree), order="F")
-    else:
-        lookup = sp.csc_matrix((np.arange(1.0, op.nslots + 1), op.indices, op.indptr), shape=(op.nfree, op.nfree))
-        slot = np.asarray(lookup[i[sel], j[sel]]).ravel().astype(int) - 1
+    sel = (i >= 0) & (j >= 0) & (i <= j)
+    slot = np.ravel_multi_index((op.bw + i[sel] - j[sel], j[sel]), (op.bw + 1, op.nfree), order="F")
     store = sp.csc_matrix((s[sel], (slot, c[sel])), shape=(op.nslots, cell.num_cells)) @ w
     fb = np.flatnonzero((i >= 0) & (j < 0))
     gather = sp.csc_matrix((s[fb], (i[fb], np.arange(fb.size))), shape=(op.nfree, fb.size))
@@ -188,7 +182,7 @@ class TestFreeNodeOperator:
             assert np.array_equal(op.assemble(term, w), store)
             assert np.array_equal(op.fixed_product(term, w, op.fixed_values(term, x)), fixed)
 
-    @pytest.mark.parametrize("name", ["1d", "2d-k3"])
+    @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
     def test_indefinite_band_is_a_breakdown(self, name):
         cell, _ = EQUIVALENCE_CELLS[name]
         op = cell.free_operator
@@ -196,12 +190,14 @@ class TestFreeNodeOperator:
         with pytest.raises(SolverBreakdown, match="banded factorisation failed: 1-th leading minor"):
             cellhom.solvers._solve_free(op, store, np.ones((op.nfree, 1)))
 
-    def test_band_layout_2d(self):
-        cell, _ = EQUIVALENCE_CELLS["2d-k3"]
+    @pytest.mark.parametrize("name, bw", [("2d-k3", 8), ("3d", 13)], ids=["2d-k3", "3d"])
+    def test_band_layout(self, name, bw):
+        cell, _ = EQUIVALENCE_CELLS[name]
         op = cell.free_operator
-        assert op.banded and op.nfree == (cell.dims[0] - 1) * (cell.dims[1] - 1)
-        # stencil offsets 1 and dims[1] - 1, corner diagonals up to dims[1]
-        assert op.bw == cell.dims[1]
+        interior = [d - 1 for d in cell.dims]
+        assert op.nfree == np.prod(interior)
+        # the corner diagonal of a cell: one node forward along every axis
+        assert op.bw == sum(int(np.prod(interior[a + 1 :])) for a in range(cell.n)) == bw
 
 
 class TestSolveBulkCell:
