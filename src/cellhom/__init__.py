@@ -12,11 +12,9 @@ quantitative structure of the estimated densities.
 __version__ = "0.1.0"
 
 from .fields import (
-    EnergyBreakdown,
     PhaseField,
     VectorField,
     affine_datum,
-    at_energy,
     bulk_energy,
     jump_datum,
     surface_energy,

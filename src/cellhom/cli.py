@@ -184,6 +184,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"command {command!r} requires a non-empty 'r' schedule")
     if command == "mu" and not cfg.a_prime:
         raise ConfigError("command 'mu' requires 'a_prime'")
+    # interface cells and the mu box are never elongated, and mc and mu take no blow-up point
+    if cfg.k != 1 and (command in ("ghom", "sweep", "mu") or (command == "mc" and cfg.mc_quantity == "g_hom")):
+        raise ConfigError(f"command {command!r} builds k = 1 cells; 'k' must be 1")
+    if cfg.center and command in ("mc", "mu"):
+        raise ConfigError(f"command {command!r} does not read 'center'")
     return cfg
 
 

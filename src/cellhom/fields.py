@@ -1,4 +1,4 @@
-"""Discrete fields on a cell domain and the three grid energies.
+"""Discrete fields on a cell domain and the two grid energies.
 
 Deformation fields store one R^N value per node, phase fields one scalar
 per node clamped to [0, 1].  Energies use one-point quadrature per grid
@@ -7,11 +7,10 @@ base corner, the phase value is the average of the 2^n corner nodes, and
 all sums run over cells with numpy's pairwise reduction so repeated
 evaluation is bit-stable.
 
-Three energies are provided:
+Two energies are provided, each returned as its total:
 
 * ``bulk_energy``        sum_c  h^n f(y_c, Du_c)
 * ``surface_energy``     sum_c  h^n ( vbar_c^2 f_inf(y_c, Du_c) + (1 - vbar_c)^2 + |Dv_c|^2 )
-* ``at_energy``          sum_c  h^n ( vbar_c^2 f(y_c, Du_c) + (1 - vbar_c)^2/eps + eps |Dv_c|^2 )
 
 with the spatial argument evaluated at physical cell centres.
 """
@@ -28,7 +27,6 @@ from .integrand import InputDomainError, Integrand
 __all__ = [
     "VectorField",
     "PhaseField",
-    "EnergyBreakdown",
     "PreconditionError",
     "affine_datum",
     "jump_datum",
@@ -37,7 +35,6 @@ __all__ = [
     "cell_average",
     "bulk_energy",
     "surface_energy",
-    "at_energy",
 ]
 
 
@@ -92,18 +89,6 @@ class PhaseField:
     @staticmethod
     def ones(cell):
         return PhaseField(cell, np.ones(cell.node_shape))
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    bulk_term: float
-    fidelity_term: float
-    gradient_v_term: float
-    total: float
-
-    @staticmethod
-    def of(bulk, fidelity, gradient_v):
-        return EnergyBreakdown(float(bulk), float(fidelity), float(gradient_v), float(bulk + fidelity + gradient_v))
 
 
 def ramp(t):
@@ -170,37 +155,19 @@ def bulk_energy(cell: CellDomain, g: Integrand, u: VectorField) -> float:
     return float(cell.h**cell.n * np.sum(vals))
 
 
-def _surface_terms(cell, ginf, u, v):
-    Du = cell_gradient(cell, u.values).reshape(cell.num_cells, u.N, cell.n)
-    W = ginf.eval_cells(cell.cell_centers_global, Du)
-    vbar = cell_average(cell, v.values).reshape(-1)
-    Dv = cell_gradient(cell, v.values).reshape(cell.num_cells, cell.n)
-    hn = cell.h**cell.n
-    bulk = hn * np.sum(vbar**2 * W)
-    fidelity = hn * np.sum((1.0 - vbar) ** 2)
-    grad_v = hn * np.sum(Dv**2)
-    return bulk, fidelity, grad_v
-
-
-def surface_energy(cell: CellDomain, ginf: Integrand, u: VectorField, v: PhaseField) -> EnergyBreakdown:
+def surface_energy(cell: CellDomain, ginf: Integrand, u: VectorField, v: PhaseField) -> float:
     """The interface energy with a 1-homogeneous density.
 
-    Term by term: vbar^2-weighted bulk part, (1 - vbar)^2 fidelity and
-    |Dv|^2 penalty, all at unit coefficients.
+    The sum of the vbar^2-weighted bulk part, the (1 - vbar)^2 fidelity
+    and the |Dv|^2 penalty, all at unit coefficients.
     """
     if not ginf.is_positively_homogeneous:
         raise PreconditionError(f"surface energy needs a 1-homogeneous density, got {ginf.id!r}")
     if u.cell is not cell or v.cell is not cell:
         raise PreconditionError("fields do not live on the given cell")
-    bulk, fidelity, grad_v = _surface_terms(cell, ginf, u, v)
-    return EnergyBreakdown.of(bulk, fidelity, grad_v)
-
-
-def at_energy(cell: CellDomain, g: Integrand, u: VectorField, v: PhaseField, eps: float) -> EnergyBreakdown:
-    """The phase-field energy at regularisation scale eps."""
-    if eps <= 0:
-        raise InputDomainError("eps must be positive")
-    if u.cell is not cell or v.cell is not cell:
-        raise PreconditionError("fields do not live on the given cell")
-    bulk, fidelity, grad_v = _surface_terms(cell, g, u, v)
-    return EnergyBreakdown.of(bulk, fidelity / eps, eps * grad_v)
+    Du = cell_gradient(cell, u.values).reshape(cell.num_cells, u.N, cell.n)
+    W = ginf.eval_cells(cell.cell_centers_global, Du)
+    vbar = cell_average(cell, v.values).reshape(-1)
+    Dv = cell_gradient(cell, v.values).reshape(cell.num_cells, cell.n)
+    hn = cell.h**cell.n
+    return float(hn * np.sum(vbar**2 * W) + hn * np.sum((1.0 - vbar) ** 2) + hn * np.sum(Dv**2))

@@ -338,23 +338,20 @@ def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:
     if h > side / 4 + 1e-12:
         raise ResolutionError(f"spacing h={h} too coarse for side {side}; need h <= side/4")
     rot = rotation_for_normal(nu)
-    n = len(rot.nu)
-    extents = np.full(n, float(k) * side)
+    extents = np.full(len(rot.nu), float(k) * side)
     extents[-1] = float(side)
-    dims = tuple(max(4, int(round(e / h))) for e in extents)
-    lo = -0.5 * np.asarray(dims, dtype=float) * h
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape[0] != n:
-        raise InputDomainError("center dimension does not match normal")
-    lo.setflags(write=False)
-    center = center.copy()
-    center.setflags(write=False)
-    return CellDomain(center=center, rotation=rot, h=float(h), lo=lo, dims=dims)
+    dims = np.array([max(4, int(round(e / h))) for e in extents], dtype=float)
+    return _box_cell(rot, -0.5 * dims * h, 0.5 * dims * h, h, center)
 
 
 def make_box_cell(nu, lo, hi, h, center=None) -> CellDomain:
     """Grid on the rotated box R([lo, hi)) + center; extents snap to h."""
-    rot = nu if isinstance(nu, Rotation) else rotation_for_normal(nu)
+    return _box_cell(rotation_for_normal(nu), lo, hi, h, center)
+
+
+def _box_cell(rot, lo, hi, h, center):
+    # both public builders end here rather than one calling the other, so
+    # a wrapper of either name (cellbench/tracing.py) sees each cell once
     lo = np.asarray(lo, dtype=float).reshape(-1)
     hi = np.asarray(hi, dtype=float).reshape(-1)
     n = len(rot.nu)
@@ -363,9 +360,9 @@ def make_box_cell(nu, lo, hi, h, center=None) -> CellDomain:
     if np.any(hi <= lo):
         raise InputDomainError("box must have positive extents")
     dims = tuple(max(2, int(round((hi[i] - lo[i]) / h))) for i in range(n))
-    if center is None:
-        center = np.zeros(n)
-    center = np.asarray(center, dtype=float).reshape(-1).copy()
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(-1).copy()
+    if center.shape[0] != n:
+        raise InputDomainError("center dimension does not match normal")
     lo = lo.copy()
     lo.setflags(write=False)
     center.setflags(write=False)

@@ -262,10 +262,10 @@ def subadditive_process_eval(
     pairs = [tuple(float(v) for v in p) for p in a_prime]
     if len(pairs) != n - 1 or any(b <= a for a, b in pairs):
         raise InputDomainError("a_prime must be n-1 nonempty half-open intervals")
-    M, rot = lattice_period(nu, cap)
+    M, _ = lattice_period(nu, cap)
     c = 0.5 * max(b - a for a, b in pairs)
     lo = np.array([a for a, _ in pairs] + [-c]) * M
     hi = np.array([b for _, b in pairs] + [c]) * M
-    cell = make_box_cell(rot, lo, hi, h)
+    cell = make_box_cell(nu, lo, hi, h)
     res = solve_surface_cell(cell, model.realise().recession_integrand(), zeta, nu, datum_width=1.0)
     return HomEstimate.from_runs("mu", (zeta.copy(), nu.copy()), (0.0,), [res.value / M ** (n - 1)], [res])

@@ -139,6 +139,10 @@ class Integrand:
 # ----------------------------------------------------------------------
 
 
+# rounding slack of the admissibility margins
+ADMISSIBILITY_SLACK = 1e-10
+
+
 @dataclass
 class ValidationReport:
     """Worst-case violation margins over a random sample; <= 0 passes."""
@@ -155,8 +159,8 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
     """Check the declared (C, alpha) bounds on a seeded random sample.
 
     ``sample_spec`` carries num_x, num_xi, radius, t_values (and
-    optionally n, N).  Violation margins <= 0 (within 1e-10 slack) pass;
-    violations are reported, never raised.
+    optionally n, N).  Violation margins <= 0 (within
+    ``ADMISSIBILITY_SLACK``) pass; violations are reported, never raised.
     """
     spec = dict(num_x=16, num_xi=16, radius=4.0, t_values=(10.0, 100.0, 1000.0), n=2, N=1)
     if sample_spec:
@@ -169,7 +173,6 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
     xis = rng.uniform(-spec["radius"], spec["radius"], size=(spec["num_xi"], N, n))
     xis = np.concatenate([xis, rng.normal(size=(4, N, n))], axis=0)
 
-    slack = 1e-10
     C = g.C
     growth = -np.inf
     rate_margins = {}
@@ -192,9 +195,9 @@ def validate_admissibility(g: Integrand, sample_spec=None, seed: int = 0) -> Val
         rate_margins[float(t)] = float(np.max(lhs - rhs))
 
     passed = (
-        growth <= slack
-        and all(v <= slack for v in rate_margins.values())
-        and rec_bounds <= slack
+        growth <= ADMISSIBILITY_SLACK
+        and all(v <= ADMISSIBILITY_SLACK for v in rate_margins.values())
+        and rec_bounds <= ADMISSIBILITY_SLACK
     )
     return ValidationReport(
         integrand_id=g.id,
@@ -258,11 +261,6 @@ class RandomIntegrandModel:
         if self.base.coeff is not None:
             raise InputDomainError("checkerboard base must be spatially homogeneous")
 
-    def cell_coeff(self, z):
-        """Coefficient of lattice cell z (integer sequence)."""
-        z = np.asarray(z, dtype=np.int64).reshape(1, -1)
-        return float(self.coeff_field(z.astype(float) + 0.5)[0])
-
     def coeff_field(self, points):
         """Coefficients at spatial points (M, n)."""
         points = np.asarray(points, dtype=float)
@@ -276,10 +274,6 @@ class RandomIntegrandModel:
             cells = cells + off[None, :]
         u = _hash_lattice(self.master_seed, cells)
         return self.a_min + (self.a_max - self.a_min) * u
-
-    def eval(self, x, xi):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(self.coeff_field(x[None, :])[0]) * self.base.eval(x, xi)
 
     def realise(self) -> Integrand:
         """The density of this realisation as a plain Integrand."""
@@ -307,7 +301,7 @@ def make_checkerboard(seed, a_min, a_max, base: Integrand | None = None) -> Rand
 
 
 def shift(model: RandomIntegrandModel, z) -> RandomIntegrandModel:
-    """Lattice shift: eval(shift(m, z), x, xi) == eval(m, x + z, xi) exactly."""
+    """Lattice shift: shift(m, z).coeff_field(x) == m.coeff_field(x + z) exactly."""
     z = np.asarray(z)
     if not np.all(z == np.round(z)):
         raise InputDomainError("shift requires an integer lattice point")

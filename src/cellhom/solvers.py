@@ -121,12 +121,6 @@ def _solve_free(op, store, rhs):
 # ----------------------------------------------------------------------
 
 
-def _cell_weights(cell, v):
-    if v is None:
-        return np.ones(cell.num_cells)
-    return cell_average(cell, v.values).reshape(-1) ** 2
-
-
 def _smoothed_objective(cell, g, coeff, weights, delta2, u_values, N):
     """Value of sum_c h^n w_c g_delta(y_c, Du_c) and the magnitudes m_c; delta2 = delta^2."""
     Du = cell_gradient(cell, u_values).reshape(cell.num_cells, N, cell.n)
@@ -138,7 +132,7 @@ def _smoothed_objective(cell, g, coeff, weights, delta2, u_values, N):
 def minimize_u_given_v(
     cell: CellDomain,
     g: Integrand,
-    v: PhaseField | None,
+    v: PhaseField,
     boundary: VectorField,
     delta: float,
     start: VectorField | None = None,
@@ -164,7 +158,7 @@ def minimize_u_given_v(
         raise InputDomainError("delta must be positive")
     n, N, h = cell.n, boundary.N, cell.h
     op = cell.free_operator
-    weights = _cell_weights(cell, v)
+    weights = cell_average(cell, v.values).reshape(-1) ** 2
     coeff = g.coeff_cells(cell.cell_centers_global)
     bmask = cell.boundary_mask
 
@@ -262,6 +256,8 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     the unsmoothed energy of the best iterate.
     """
     bdata = affine_datum(cell, xi)
+    # the corner average of ones is exactly 1, so every cell weight is 1
+    ones = PhaseField.ones(cell)
     u_run = bdata.copy()
     best_u = u_run
     best_E = bulk_energy(cell, g, best_u)
@@ -270,7 +266,7 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     converged = True
     for delta in DELTA_SCHEDULE:
         stats = {}
-        u_try = minimize_u_given_v(cell, g, None, bdata, delta, start=u_run, stats=stats)
+        u_try = minimize_u_given_v(cell, g, ones, bdata, delta, start=u_run, stats=stats)
         iters += stats["iterations"]
         E_try = bulk_energy(cell, g, u_try)
         if E_try < best_E:
@@ -282,7 +278,7 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     return CellResult(
         value=best_E,
         u=best_u,
-        v=PhaseField.ones(cell),
+        v=ones,
         iterations=iters,
         energy_trace=trace,
         converged=converged,
@@ -331,7 +327,7 @@ def solve_surface_cell(
     u_run = bdata.copy()
     v_run = _seeded_phase(cell)
     best_u, best_v = u_run, v_run
-    best_E = surface_energy(cell, ginf, u_run, v_run).total
+    best_E = surface_energy(cell, ginf, u_run, v_run)
     trace = [best_E]
     sweeps = 0
     converged = True
@@ -341,7 +337,7 @@ def solve_surface_cell(
             stats = {}
             u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, start=u_run, stats=stats)
             v_try = minimize_v_given_u(cell, ginf, u_try)
-            E_try = surface_energy(cell, ginf, u_try, v_try).total
+            E_try = surface_energy(cell, ginf, u_try, v_try)
             sweeps += 1
             if E_try < best_E:
                 best_E, best_u, best_v = E_try, u_try, v_try

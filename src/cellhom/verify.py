@@ -6,7 +6,9 @@ satisfy: growth bounds and a dimensional Lipschitz bound for the bulk
 density, amplitude bounds, symmetry under (zeta, nu) -> (-zeta, -nu) and
 a Lipschitz bound in the jump amplitude for the surface density,
 agreement of the two recession routes, and covariance, subadditivity and
-volume boundedness of the interval process.
+volume boundedness of the interval process.  One more check reads no
+estimate: the admissibility of a density's declared constants, on the
+sample of :func:`cellhom.integrand.validate_admissibility`.
 
 A check returns a ``PropertyCheck`` whose signed margin is normalised so
 that margin <= tolerance means pass; violations are content, never
@@ -30,10 +32,18 @@ from .homogenise import (
     lattice_period,
     subadditive_process_eval,
 )
-from .integrand import InputDomainError, Integrand, RandomIntegrandModel, shift
+from .integrand import (
+    ADMISSIBILITY_SLACK,
+    InputDomainError,
+    Integrand,
+    RandomIntegrandModel,
+    shift,
+    validate_admissibility,
+)
 
 __all__ = [
     "PropertyCheck",
+    "check_admissibility",
     "check_fhom_growth",
     "check_fhom_lipschitz",
     "check_fhom_rank_one_convexity",
@@ -59,7 +69,6 @@ class PropertyCheck:
     """
 
     name: str
-    inputs: dict
     margin: float
     tolerance: float
     passed: bool
@@ -67,10 +76,9 @@ class PropertyCheck:
     converged: bool
 
     @staticmethod
-    def of(name, inputs, margin, tolerance, provenance, estimates=()):
+    def of(name, margin, tolerance, provenance, estimates=()):
         return PropertyCheck(
             name=name,
-            inputs=inputs,
             margin=float(margin),
             tolerance=float(tolerance),
             passed=bool(margin <= tolerance),
@@ -81,6 +89,18 @@ class PropertyCheck:
 
 def _norm(x):
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
+
+
+def check_admissibility(g: Integrand) -> PropertyCheck:
+    """The declared (C, alpha) constants of g hold on the validator's sample.
+
+    The margin is the worst of the growth, recession-bound and
+    recession-rate margins of ``validate_admissibility``; the tolerance
+    is its rounding slack, which no ``tol_scale`` widens.
+    """
+    report = validate_admissibility(g)
+    margin = max(report.growth_margin, report.recession_bounds_margin, *report.recession_rate_margins.values())
+    return PropertyCheck.of("admissibility", margin, ADMISSIBILITY_SLACK, "declared-constants:density")
 
 
 def check_fhom_growth(estimates: Sequence[HomEstimate], C: float, rel_slack: float = 0.03) -> PropertyCheck:
@@ -94,7 +114,6 @@ def check_fhom_growth(estimates: Sequence[HomEstimate], C: float, rel_slack: flo
         margin = max(margin, (lo - val) / max(lo, 1e-12), (val - hi) / hi)
     return PropertyCheck.of(
         "fhom-growth",
-        {"C": C, "num_estimates": len(estimates)},
         margin,
         rel_slack,
         "growth-bounds:effective-bulk-density",
@@ -124,7 +143,6 @@ def check_fhom_lipschitz(
             worst = max(worst, abs(estimates[i].extrapolated - estimates[j].extrapolated) / d)
     return PropertyCheck.of(
         "fhom-lipschitz",
-        {"C": C, "n": n, "K_cap": cap, "num_pairs": len(estimates) * (len(estimates) - 1) // 2},
         worst - cap,
         0.0,
         "lipschitz:effective-bulk-density",
@@ -163,7 +181,6 @@ def check_fhom_rank_one_convexity(
         margin = max(margin, (mid - chord) / max(abs(chord), 1e-12))
     return PropertyCheck.of(
         "fhom-rank-one-convexity",
-        {"integrand": g.id, "lines": lines, "step": step},
         margin,
         rel_slack,
         "rank-one-convexity:effective-bulk-density",
@@ -186,7 +203,6 @@ def check_ghom_bounds(estimates: Sequence[HomEstimate], C: float, rel_slack: flo
         margin = max(margin, (lo - val) / lo, (val - hi) / hi)
     return PropertyCheck.of(
         "ghom-bounds",
-        {"C": C, "num_estimates": len(estimates)},
         margin,
         rel_slack,
         "amplitude-bounds:effective-surface-density",
@@ -223,7 +239,6 @@ def check_ghom_symmetry_and_lipschitz(
             margin = max(margin, quot - cap)
     return PropertyCheck.of(
         "ghom-symmetry-lipschitz",
-        {"C": C, "n": n, "pairs": len(pairs), "sweep": len(sweep)},
         margin,
         0.0,
         "symmetry-and-lipschitz:effective-surface-density",
@@ -245,7 +260,6 @@ def check_recession_routes(
     margin = abs(e1.extrapolated - e2.extrapolated) / scale - rel_tol
     return PropertyCheck.of(
         "recession-route-agreement",
-        {"integrand": g.id, "xi": np.asarray(xi).tolist(), "routes": (e1.extrapolated, e2.extrapolated)},
         margin,
         0.0,
         "recession-commutes-with-homogenisation",
@@ -273,9 +287,8 @@ def check_subadditive_process(
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
     n = nu.shape[0]
-    C = model.base.C * max(model.a_max, 1.0 / model.a_min)
+    C = model.realise().C
     margin = -np.inf
-    details = {}
     estimates = []
 
     def mu(m, box):
@@ -283,16 +296,14 @@ def check_subadditive_process(
         estimates.append(est)
         return est.extrapolated
 
-    for idx, (whole, parts) in enumerate(splits):
+    for whole, parts in splits:
         mu_whole = mu(model, whole)
         mu_parts = sum(mu(model, p) for p in parts)
         rel = (mu_whole - mu_parts) / max(mu_parts, 1e-12)
-        details[f"split{idx}"] = (mu_whole, mu_parts)
         margin = max(margin, rel - slack)
         measure = float(np.prod([b - a for a, b in whole]))
         bound = C * _norm(zeta) * RAMP_SLOPE_MAX * measure
         margin = max(margin, (mu_whole - bound) / bound - slack)
-        details[f"bound{idx}"] = bound
 
     for z in shifts:
         z = np.asarray(z, dtype=int).reshape(-1)
@@ -306,12 +317,10 @@ def check_subadditive_process(
         mu_shifted_model = mu(shift(model, z_nu), base_box)
         scale = max(abs(mu_shifted_box), abs(mu_shifted_model), 1e-12)
         rel = abs(mu_shifted_box - mu_shifted_model) / scale
-        details[f"shift{tuple(z)}"] = (mu_shifted_box, mu_shifted_model)
         margin = max(margin, rel - slack)
 
     return PropertyCheck.of(
         "interval-process",
-        {"zeta": zeta.tolist(), "nu": nu.tolist(), **details},
         margin,
         0.0,
         "covariant-subadditive-bounded-process",
@@ -332,11 +341,13 @@ def run_suite(
 ) -> list:
     """The default property suite over the bundled integrand catalog.
 
-    Runs growth and Lipschitz checks on effective bulk estimates,
-    rank-one midpoint convexity along three sampled lines, amplitude
-    bounds, symmetry and amplitude-Lipschitz checks on effective surface
-    estimates, and optionally the recession-route and interval-process
-    checks.  ``tol_scale`` multiplies every default tolerance.
+    Runs, per catalog density, the admissibility check, growth and
+    Lipschitz checks on effective bulk estimates and rank-one midpoint
+    convexity along three sampled lines; then amplitude bounds, symmetry
+    and amplitude-Lipschitz checks on effective surface estimates, and
+    optionally the recession-route and interval-process checks.
+    ``tol_scale`` multiplies every default tolerance but the
+    admissibility slack.
     """
     from .integrand import area, euclid, laminate, make_checkerboard
 
@@ -348,6 +359,7 @@ def run_suite(
     cb = make_checkerboard(seed, 1.0, 2.0)
     catalog = [euclid(), area(), laminate(1.0, 2.0), cb.realise()]
     for g in catalog:
+        checks.append(check_admissibility(g))
         ests = [estimate_f_hom(g, xi, sched) for xi in xi_grid]
         checks.append(check_fhom_growth(ests, C=g.C, rel_slack=0.03 * tol_scale))
         checks.append(check_fhom_lipschitz(ests, C=g.C, n=2))

@@ -209,8 +209,8 @@ class TestVerifyCommand:
         from cellhom.verify import PropertyCheck
 
         return [
-            PropertyCheck.of("alpha", {}, -0.1, 0.0, "prov-a"),
-            PropertyCheck.of("beta", {}, -0.2 if all_pass else 0.3, 0.0, "prov-b"),
+            PropertyCheck.of("alpha", -0.1, 0.0, "prov-a"),
+            PropertyCheck.of("beta", -0.2 if all_pass else 0.3, 0.0, "prov-b"),
         ]
 
     def test_report_written_and_exit_zero(self, tmp_path, monkeypatch):
@@ -330,6 +330,33 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"cellhom: config error: command {command!r} requires 'nu'\n"
         assert not (tmp_path / "out").exists()
+
+    # surface cells are k = 1 cubes, and mc and mu centre every cell at 0
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ("command = ghom\nzeta = 1\nnu = 0,1\nr = 4\nk = 3\n", "command 'ghom' builds k = 1 cells; 'k' must be 1"),
+            ("command = sweep\nxi = 1,0\nzeta = 1\nnu = 0,1\nr = 4\nk = 2\n", "command 'sweep' builds k = 1 cells; 'k' must be 1"),
+            ("command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\nk = 2\n", "command 'mu' builds k = 1 cells; 'k' must be 1"),
+            (
+                "command = mc\nmc_quantity = g_hom\nzeta = 1\nnu = 0,1\nr = 4\nseeds = 1,2\nk = 2\n",
+                "command 'mc' builds k = 1 cells; 'k' must be 1",
+            ),
+            ("command = mc\nxi = 1,0\nr = 4\nseeds = 1,2\ncenter = 0.37,0.21\n", "command 'mc' does not read 'center'"),
+            ("command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\ncenter = 0.5,0\n", "command 'mu' does not read 'center'"),
+        ],
+        ids=["ghom-k", "sweep-k", "mu-k", "mc-ghom-k", "mc-center", "mu-center"],
+    )
+    def test_ignored_geometry_key_is_config_error(self, tmp_path, capsys, config, error):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("integrand = checkerboard:3,1,2\n" + config)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_mc_bulk_reads_k(self):
+        cfg = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 1,2\nk = 2\n")
+        assert cfg.k == 2
 
     def test_seed_override_rebases_list(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

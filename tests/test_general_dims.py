@@ -55,9 +55,9 @@ class Test3D:
         cell = make_cell((0.0, 0.0, 0.0), 4.0, nu, 1, 0.5)
         u = affine_datum(cell, np.array([[0.3, -0.2, 0.1]]))
         v = PhaseField.ones(cell)
-        bd = surface_energy(cell, euclid(), u, v)
-        assert bd.bulk_term == pytest.approx(bulk_energy(cell, euclid(), u))
-        assert bd.total > 0
+        energy = surface_energy(cell, euclid(), u, v)
+        assert energy == pytest.approx(bulk_energy(cell, euclid(), u))
+        assert energy > 0
 
     def test_layered_3d_bulk_between_bounds(self):
         cell = make_cell((0.0, 0.0, 0.0), 4.0, (0.0, 0.0, 1.0), 1, 0.5)

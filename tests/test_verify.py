@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cellhom.solvers
 from cellhom.homogenise import HomEstimate, Schedule
-from cellhom.integrand import euclid, make_checkerboard
+from cellhom.integrand import area, euclid, laminate, make_checkerboard
 from cellhom.verify import (
+    check_admissibility,
     check_fhom_growth,
     check_fhom_lipschitz,
     check_fhom_rank_one_convexity,
@@ -31,6 +34,25 @@ def fake_estimate(quantity, argument, value):
 
 def euclid_table(values=(0.5, 1.0, 2.0, 4.0)):
     return [fake_estimate("f_hom", (np.array([[t, 0.0]]),), t) for t in values]
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize(
+        "g",
+        [euclid(), area(), laminate(1.0, 2.0), make_checkerboard(1, 1.0, 2.0).realise()],
+        ids=["euclid", "area", "laminate", "checkerboard"],
+    )
+    def test_catalog_passes(self, g):
+        check = check_admissibility(g)
+        assert check.passed and check.converged
+        assert check.margin <= 0.0
+
+    def test_misdeclared_slope_fails(self):
+        # |xi| scaled by 1.1 exceeds the recession bound C |xi| with C = 1
+        check = check_admissibility(replace(euclid(), recession_slope=1.1))
+        assert not check.passed
+        assert check.margin == pytest.approx(0.464, abs=1e-3)
+        assert check.tolerance == 1e-10
 
 
 class TestFhomGrowth:
@@ -115,9 +137,11 @@ class TestSubadditiveProcessCheck:
     def test_single_interval_split_is_equality(self):
         model = make_checkerboard(3, 1.0, 2.0)
         splits = [([(0.0, 1.0)], [[(0.0, 1.0)]])]
-        check = check_subadditive_process(model, [1.0], E2, splits, h=0.25)
+        # without slack the margin is exactly the split's relative excess,
+        # 0, since the volume bound holds with room
+        check = check_subadditive_process(model, [1.0], E2, splits, h=0.25, slack=0.0)
         assert check.passed
-        assert check.inputs["split0"][0] == pytest.approx(check.inputs["split0"][1])
+        assert check.margin == 0.0
 
     def test_halving_split_and_shift(self):
         model = make_checkerboard(3, 1.0, 2.0)
