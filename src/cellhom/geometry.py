@@ -233,11 +233,16 @@ class FreeNodeOperator:
     """Free-node layout shared by the u-step and the v-step on one grid.
 
     Both steps minimise quadratic forms in the nodal values x built from
-    per-cell weights through two couplings: the forward-difference
-    stencil, sum_c w_c sum_a (x_{q_a(c)} - x_{p(c)})^2, and the corner
-    mass, sum_c m_c (sum of the 2^n corner values of c)^2.  Boundary
-    nodes are fixed, so only the free-free block is factorised and the
-    free-fixed block moves to the right-hand side.
+    per-cell weights.  The element template of an axis pair (a, b) is
+    (e_{q_a(c)} - e_{p(c)})(e_{q_b(c)} - e_{p(c)})^T, with p(c) the base
+    corner of cell c and q_a(c) its forward neighbour along axis a.
+    Three terms are built from them: the ``hessian``, which scales the
+    template of (a, b) by its own weight row a*n + b; the ``stencil``,
+    the sum of the (a, a) templates under one weight, i.e.
+    sum_c w_c sum_a (x_{q_a(c)} - x_{p(c)})^2; and the corner ``mass``,
+    sum_c m_c (sum of the 2^n corner values of c)^2.  Boundary nodes are
+    fixed, so only the free-free block is factorised and the free-fixed
+    block moves to the right-hand side.
 
     Free nodes are numbered in the grid's C order, so the free-free block
     is a band whose half-width ``bw`` is the offset of a cell's diagonal
@@ -247,7 +252,8 @@ class FreeNodeOperator:
     ``diag`` lists the diagonal's slots.  Each term is plain index
     arrays, with no scipy.sparse matrix: :meth:`assemble` adds one
     coefficient per (cell, slot) times the cell weight with
-    ``np.bincount``, each slot taking its cells in ascending order, and
+    ``np.bincount``, each slot taking its cells in ascending order and,
+    within a cell, its weight rows in ascending order, and
     :meth:`fixed_product` sums the free-fixed couplings in a fixed
     order.  An operator is shared by every cell of its dims, so
     nothing in it may be written to.
@@ -260,20 +266,25 @@ class FreeNodeOperator:
         pos = np.full(cell.num_nodes, -1)
         pos[self.free] = np.arange(nfree)
 
-        # the stencil pairs each cell's base corner with its forward neighbours
-        corners = cell.cell_corner_nodes
+        n, corners = cell.n, cell.cell_corner_nodes
         pbase = corners[0]
-        stencil = []
-        for a in range(cell.n):
-            q = corners[1 << a]
-            stencil += [(pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0)]
-        # each term: row and column nodes of shape (pairs, cells), one sign per pair
-        terms = {}
-        for t, pairs in (("stencil", stencil), ("mass", [(p, q, 1.0) for p in corners for q in corners])):
-            p, q, sign = zip(*pairs)
-            terms[t] = (np.stack(p), np.stack(q), np.array(sign))
 
-        # every stencil pair is also a corner pair, so the mass term's
+        def template(a, b, row):
+            qa, qb = corners[1 << a], corners[1 << b]
+            return [(qa, qb, 1.0, row), (qa, pbase, -1.0, row), (pbase, qb, -1.0, row), (pbase, pbase, 1.0, row)]
+
+        # each term: row and column nodes of shape (pairs, cells), one sign
+        # and one weight row per pair
+        terms = {
+            t: tuple(np.array(x) for x in zip(*entries))
+            for t, entries in (
+                ("stencil", [e for a in range(n) for e in template(a, a, 0)]),
+                ("hessian", [e for a in range(n) for b in range(n) for e in template(a, b, a * n + b)]),
+                ("mass", [(p, q, 1.0, 0) for p in corners for q in corners]),
+            )
+        }
+
+        # every template pair is also a corner pair, so the mass term's
         # free-free entries fix the band width
         i, j = pos[terms["mass"][0]], pos[terms["mass"][1]]
         inner = (i >= 0) & (j >= 0)
@@ -283,31 +294,34 @@ class FreeNodeOperator:
 
         self._band = {}
         self._fixed = {}
-        for t, (p, q, sign) in terms.items():
+        for t, (p, q, sign, row) in terms.items():
             i, j = pos[p], pos[q]
             # the free-fixed couplings, pair by pair and cell by cell
             fb = np.nonzero((i >= 0) & (j < 0))
             self._fixed[t] = (i[fb], fb[1], q[fb], sign[fb[0]])
             # pairs of the same two cell-local nodes (equal nodes in cell 0)
-            # form one group with one coefficient; a group meets each slot in
-            # at most one cell, and groups in descending order of their row
-            # node in cell 0 meet every slot in ascending cell order, the
-            # order a per-cell sum takes
-            _, first, group = np.unique(np.stack([p[:, 0], q[:, 0]], 1), axis=0, return_index=True, return_inverse=True)
-            coef = np.bincount(group.reshape(-1), weights=sign)[::-1]
-            i, j = i[first[::-1]], j[first[::-1]]
+            # and weight row form one group with one coefficient; a group
+            # meets each slot in at most one cell, and groups in descending
+            # order of their row node in cell 0, then ascending weight row,
+            # meet every slot in ascending cell order, the order a per-cell
+            # sum takes
+            key = np.stack([-p[:, 0], q[:, 0], row], 1)
+            _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            coef = np.bincount(group.reshape(-1), weights=sign)
+            i, j = i[first], j[first]
             sel = (i >= 0) & (j >= 0) & (i <= j)
             slot = j * (self.bw + 1) + self.bw + i - j
             # couplings to a fixed node go to the spare slot nslots
             used = sel.any(axis=1)
-            self._band[t] = (np.where(sel, slot, self.nslots)[used].ravel(), coef[used])
+            self._band[t] = (np.where(sel, slot, self.nslots)[used].ravel(), coef[used], row[first][used])
         self.free.setflags(write=False)
         self.diag.setflags(write=False)
 
     def assemble(self, term, weights):
-        """Storage of the free-free block of a term under cell weights."""
-        slots, coef = self._band[term]
-        return np.bincount(slots, weights=(coef[:, None] * weights).ravel(), minlength=self.nslots + 1)[:-1]
+        """Storage of the free-free block of a term under cell weights, (cells,) or (n*n, cells) for ``hessian``."""
+        slots, coef, rows = self._band[term]
+        w = np.atleast_2d(weights)[rows]
+        return np.bincount(slots, weights=(coef[:, None] * w).ravel(), minlength=self.nslots + 1)[:-1]
 
     def fixed_values(self, term, x):
         """Signed fixed-node values of a term's free-fixed couplings; x is (num_nodes, N)."""

@@ -13,9 +13,10 @@ C^-1 |xi| <= f_inf(x, xi) <= C |xi|.
 
 Every density factors through the gradient magnitude,
 f(x, xi) = coeff(x) * profile(|xi|), the form the cell solvers'
-reweighted u-step needs.  Its recession function is then
+Newton u-step needs, with the first and second derivatives of the
+profile declared next to it.  Its recession function is then
 coeff(x) * k * |xi|, where the author declares the slope
-k = lim_{s->inf} profile(s)/s next to ``profile_deriv``;
+k = lim_{s->inf} profile(s)/s;
 ``validate_admissibility`` checks the declared slope against the
 scaled values f(x, t*xi)/t.
 
@@ -70,8 +71,11 @@ class Integrand:
     profile : callable
         Radial part; maps magnitudes (M,) to values (M,).
     profile_deriv : callable
-        Derivative of ``profile`` on (0, inf), which the u-step
-        reweights with.
+        Derivative of ``profile`` on (0, inf), which gives the u-step's
+        gradient.
+    profile_deriv2 : callable
+        Second derivative of ``profile`` on (0, inf), which enters the
+        u-step's Hessian.
     recession_slope : float
         lim_{s->inf} profile(s)/s; the recession is then
         coeff(x) * recession_slope * |xi|.
@@ -85,6 +89,7 @@ class Integrand:
     alpha: float
     profile: Callable
     profile_deriv: Callable
+    profile_deriv2: Callable
     recession_slope: float
     coeff: Optional[Callable] = None
     is_positively_homogeneous: bool = False
@@ -108,16 +113,11 @@ class Integrand:
         return np.asarray(self.coeff(points), dtype=float)
 
     def eval_cells(self, points, xis):
-        """Batch evaluation; points (M, n), xis (M, N, n) -> (M,)."""
-        return self.coeff_cells(np.asarray(points, dtype=float)) * np.asarray(self.profile(_frob(xis)), dtype=float)
-
-    def eval(self, x, xi):
-        """Evaluate at a single point; validates finiteness."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xi))):
+        """Batch evaluation; points (M, n), xis (M, N, n) -> (M,); rejects non-finite input."""
+        points, norms = np.asarray(points, dtype=float), _frob(xis)
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(norms))):
             raise InputDomainError("non-finite input to density evaluation")
-        return float(self.eval_cells(x[None, :], xi[None, :, :])[0])
+        return self.coeff_cells(points) * np.asarray(self.profile(norms), dtype=float)
 
     # ------------------------------------------------------------------
     # derived integrands
@@ -130,6 +130,7 @@ class Integrand:
             id=f"recession({self.id})",
             profile=lambda s, k=self.recession_slope: k * s,
             profile_deriv=lambda s, k=self.recession_slope: np.full_like(np.asarray(s, dtype=float), k),
+            profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             is_positively_homogeneous=True,
         )
 
@@ -325,6 +326,7 @@ def euclid() -> Integrand:
         alpha=0.5,
         profile=lambda s: np.asarray(s, dtype=float),
         profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         recession_slope=1.0,
         is_positively_homogeneous=True,
     )
@@ -338,6 +340,7 @@ def area() -> Integrand:
         alpha=0.5,
         profile=lambda s: np.sqrt(1.0 + np.asarray(s, dtype=float) ** 2),
         profile_deriv=lambda s: np.asarray(s, dtype=float) / np.sqrt(1.0 + np.asarray(s, dtype=float) ** 2),
+        profile_deriv2=lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** -1.5,
         recession_slope=1.0,
         is_positively_homogeneous=False,
     )
@@ -365,6 +368,7 @@ def laminate(a_soft=1.0, a_hard=2.0, segment=1.0, axis=0) -> Integrand:
         coeff=coeff,
         profile=lambda s: np.asarray(s, dtype=float),
         profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         recession_slope=1.0,
         is_positively_homogeneous=True,
     )

@@ -3,40 +3,45 @@
 The bulk problem minimises the linear-growth energy over deformations
 pinned to an affine datum on the whole boundary; the interface problem
 minimises the phase-field surface energy over pairs (u, v) pinned to a
-smoothed jump and v = 1 on the boundary.
+smoothed jump and v = 1 on the boundary.  Its density coeff * k * |xi|
+does not change under a rotation of the components, so a vector jump
+zeta is solved as the scalar cell of amplitude |zeta|.
 
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over a decreasing delta schedule.
 Every density has the form coeff(x) * profile(|xi|), and the step is a
-majorize-minimize reweighted least-squares iteration (lagged
-diffusivity) on it: each inner iteration solves a weighted Laplacian
-exactly, and the surrogate energy cannot increase; a rejected or
-non-finite step ends the iteration as stalled.  Reported energies are
-always evaluated with the unsmoothed density, so every returned value
-is a true upper bound of the discrete minimum.
+damped Newton iteration on it: each iteration solves the Hessian (for
+N >= 2, each component's diagonal block) and halves the step until the
+Armijo condition holds, so the surrogate energy cannot increase; a
+failed line search or a non-finite system ends the iteration as
+stalled.  Reported energies are always evaluated with the unsmoothed
+density, so every returned value is a true upper bound of the discrete
+minimum.
 
 The v-step is exact: the surface energy is a convex quadratic in the
 nodal phase values, solved directly; boundary nodes stay 1.
 
 Both steps sum their cell weights into the free-free block of the
 cell's ``free_operator`` (see :class:`cellhom.geometry.FreeNodeOperator`)
-with ``np.bincount``, with no scipy.sparse scatter, and factorise it once
-per system for all components with one call of LAPACK's ``dpbsv``
-(banded Cholesky, ``dpbtrf`` then ``dpbtrs``), for every dimension.  A
+with ``np.bincount``, with no scipy.sparse scatter, and solve each
+system (the u-step: one per component) with one call of LAPACK's
+``dpbsv`` (banded Cholesky, ``dpbtrf`` then ``dpbtrs``).  A
 factorisation that breaks down, or a phase solve with non-finite values,
 raises :class:`SolverBreakdown`.
 
 Alternating minimisation keeps the best (lowest unsmoothed energy) pair
 seen; the recorded energy trace contains accepted energies only and is
 therefore non-increasing by construction.  ``converged`` holds only when
-every smoothing level ended on its energy-decrease test.
+every smoothing level ended on its energy-decrease test and every u-step
+on its own.
 
 The solver settings are module constants, the same for every cell
 solve: ``DELTA_SCHEDULE`` (the strictly decreasing smoothing
 parameters), ``AM_MAX_ITERS`` (alternating sweeps per smoothing level),
 ``AM_REL_TOL`` (the relative energy decrease that ends a level),
-``INNER_TOL`` (the relative decrease, scaled by max(1, |objective|),
-that ends a u-step) and ``U_MAX_ITERS`` (IRLS iterations per u-step).
+``INNER_TOL`` (the change over a full Newton step, relative to
+max(1, |objective|), that ends a u-step) and ``U_MAX_ITERS`` (Newton
+iterations per u-step).
 The solvers read them at call time.
 """
 
@@ -87,8 +92,8 @@ class CellResult:
 
     ``value`` is the unsmoothed energy of the best iterate (the last
     entry of ``energy_trace``); ``converged`` is False when an iteration
-    budget ran out at any smoothing level, or for bulk cells when a
-    u-step stalled; the value is still a valid upper bound then.
+    budget ran out at any smoothing level or a u-step stalled; the value
+    is still a valid upper bound then.
     """
 
     value: float
@@ -122,11 +127,39 @@ def _solve_free(op, store, rhs):
 
 
 def _smoothed_objective(cell, g, coeff, weights, delta2, u_values, N):
-    """Value of sum_c h^n w_c g_delta(y_c, Du_c) and the magnitudes m_c; delta2 = delta^2."""
+    """Value of sum_c h^n w_c g_delta(y_c, Du_c), the gradients Du_c and the magnitudes m_c; delta2 = delta^2."""
     Du = cell_gradient(cell, u_values).reshape(cell.num_cells, N, cell.n)
     m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta2)
     vals = coeff * np.asarray(g.profile(m), dtype=float)
-    return cell.h**cell.n * float(np.sum(weights * vals)), m
+    return cell.h**cell.n * float(np.sum(weights * vals)), Du, m
+
+
+def _newton_system(cell, g, coeff, weights, Du, m):
+    """Gradient and Hessian of the smoothed objective at the cell gradients Du.
+
+    With s = h^n w coeff p'(m)/m the cell fluxes are s Du / h, and the
+    gradient (num_nodes, N) is their sum at the nodes of the forward
+    differences.  Per cell, the Hessian in xi = Du is
+    s (I - xi xi^T/m^2) + h^n w coeff p''(m) xi xi^T/m^2.  The diagonal
+    block of each component, with s floored at 1e-14 of its largest
+    value, gives the ``hessian`` template weights (N, n*n, cells) over
+    h^2.  Also returns the largest s / h^2.
+    """
+    n, h = cell.n, cell.h
+    hw = h**n * weights * coeff
+    s = hw * np.asarray(g.profile_deriv(m), dtype=float) / m
+    flux = (s[:, None, None] * Du / h).reshape(cell.dims + Du.shape[1:])
+    grad = np.zeros(cell.node_shape + Du.shape[1:2])
+    base = (slice(0, -1),) * n
+    for a in range(n):
+        grad[base[:a] + (slice(1, None),) + base[a + 1 :]] += flux[..., a]
+        grad[base] -= flux[..., a]
+    smax = float(np.max(s))
+    s = np.maximum(s, 1e-14 * smax)
+    t = hw * np.asarray(g.profile_deriv2(m), dtype=float)
+    r = Du / m[:, None, None]
+    H = (t - s)[:, None, None, None] * r[..., :, None] * r[..., None, :] + s[:, None, None, None] * np.eye(n)
+    return grad, H.reshape(m.size, -1, n * n).transpose(1, 2, 0) / h**2, smax / h**2
 
 
 def minimize_u_given_v(
@@ -142,21 +175,23 @@ def minimize_u_given_v(
 
     Dirichlet values are taken from ``boundary`` on every boundary node.
 
-    Reweighted least squares: majorises profile(sqrt(q + delta^2))
-    linearly in q = |Du|^2, which is valid for the catalog profiles
-    (concave in q), and solves the resulting weighted Laplacian exactly
-    per iteration, so the energy never increases.  A vanishing Tikhonov
-    anchor to the previous iterate keeps the system definite where the
-    weight vanishes and makes the flat-region tie-break deterministic
-    (the previous iterate survives there).
+    Damped Newton on the smoothed objective: each iteration solves the
+    Hessian (for N >= 2, each component with its own diagonal block) for
+    a direction and backtracks along it, halving the step (at most 30
+    times) until the Armijo condition (c = 1e-4) holds, so the energy
+    never increases.  A vanishing Tikhonov anchor tau on the diagonal
+    keeps the system definite where the weight vanishes and makes the
+    flat-region tie-break deterministic (the previous iterate survives
+    there).
 
-    Stops on the first rejected or non-finite step and returns the best
-    iterate with ``stalled`` set in ``stats``: the next iteration would
-    rebuild the same system from the same iterate.
+    Stops when a full step changes the objective by at most ``INNER_TOL``
+    times max(1, |objective|) (converged), and on a non-finite system or
+    a failed line search (stalled, in ``stats``); ``stats["iterations"]``
+    counts the Hessian solves.  Only accepted iterates are returned.
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
-    n, N, h = cell.n, boundary.N, cell.h
+    N = boundary.N
     op = cell.free_operator
     weights = cell_average(cell, v.values).reshape(-1) ** 2
     coeff = g.coeff_cells(cell.cell_centers_global)
@@ -164,41 +199,39 @@ def minimize_u_given_v(
 
     u = (start.values if start is not None else boundary.values).copy()
     u[bmask] = boundary.values[bmask]
-    # fixed for the whole u-step: the boundary values and the weight factor of om
-    ub = op.fixed_values("stencil", u.reshape(-1, N))
-    hw, h2, delta2 = (h**n) * weights * 2.0, h**2, delta**2
-    E, m = _smoothed_objective(cell, g, coeff, weights, delta2, u, N)
+    E, Du, m = _smoothed_objective(cell, g, coeff, weights, delta**2, u, N)
 
     it = 0
     converged = stalled = False
-    while it < U_MAX_ITERS:
+    while it < U_MAX_ITERS and not (converged or stalled):
+        grad, hess, scale = _newton_system(cell, g, coeff, weights, Du, m)
+        grad = grad.reshape(-1, N)[op.free]
+        if not scale > 0.0:
+            # no weight anywhere leaves nothing to minimise; NaN is a stall
+            converged = scale == 0.0
+            stalled = not converged
+            break
         it += 1
-        sigma = coeff * np.asarray(g.profile_deriv(m), dtype=float) / (2.0 * m)
-        om = hw * sigma / h2
-        scale = float(np.max(om)) if om.size else 0.0
-        if not np.isfinite(scale):
+        d = np.empty_like(grad)
+        for k in range(N):
+            store = op.assemble("hessian", hess[k])
+            store[op.diag] += 1e-12 * scale
+            d[:, k] = _solve_free(op, store, -grad[:, k : k + 1])[:, 0]
+        slope = float(np.sum(grad * d))
+        # Armijo backtracking; the stop test reads the full step only
+        for halvings in range(31):
+            step = 0.5**halvings
+            u_try = u.copy()
+            u_try.reshape(-1, N)[op.free] += step * d
+            E_try, Du_try, m_try = _smoothed_objective(cell, g, coeff, weights, delta**2, u_try, N)
+            converged = halvings == 0 and abs(E - E_try) <= INNER_TOL * max(1.0, abs(E))
+            if E_try <= E + 1e-4 * step * slope or (converged and E_try <= E):
+                u, E, Du, m = u_try, E_try, Du_try, m_try
+                break
+            if converged:
+                break
+        else:
             stalled = True
-            break
-        if scale <= 0.0:
-            converged = True
-            break
-        om = np.maximum(om, 1e-14 * scale)
-        tau = 1e-12 * scale
-        store = op.assemble("stencil", om)
-        store[op.diag] += tau
-        rhs = tau * u.reshape(-1, N)[op.free] - op.fixed_product("stencil", om, ub)
-        u_new = u.copy()
-        u_new.reshape(-1, N)[op.free] = _solve_free(op, store, rhs)
-        E_new, m_new = _smoothed_objective(cell, g, coeff, weights, delta2, u_new, N)
-        done = abs(E - E_new) <= INNER_TOL * max(1.0, abs(E))
-        if E_new <= E:
-            u, E, m = u_new, E_new, m_new
-        if done:
-            converged = True
-            break
-        if not E_new <= E:
-            stalled = True
-            break
 
     if stats is not None:
         stats.update(iterations=it, objective=E, converged=converged, stalled=stalled)
@@ -322,8 +355,13 @@ def solve_surface_cell(
     if np.linalg.norm(nu - cell.rotation.nu) > 1e-8:
         raise PreconditionError("normal does not match the cell rotation")
 
+    # coeff * k * |xi| does not change under a rotation of the components,
+    # and a component normal to zeta only adds energy: solve the scalar
+    # cell of amplitude |zeta| and point its field along zeta
+    zeta = np.asarray(zeta, dtype=float).reshape(-1)
+    amplitude = float(np.linalg.norm(zeta))
     width = 4.0 * cell.h if datum_width is None else float(datum_width)
-    bdata = jump_datum(cell, zeta, nu, eps_width=width)
+    bdata = jump_datum(cell, [amplitude], nu, eps_width=width)
     u_run = bdata.copy()
     v_run = _seeded_phase(cell)
     best_u, best_v = u_run, v_run
@@ -336,6 +374,7 @@ def solve_surface_cell(
         for _ in range(AM_MAX_ITERS):
             stats = {}
             u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, start=u_run, stats=stats)
+            converged = converged and stats["converged"]
             v_try = minimize_v_given_u(cell, ginf, u_try)
             E_try = surface_energy(cell, ginf, u_try, v_try)
             sweeps += 1
@@ -352,7 +391,7 @@ def solve_surface_cell(
 
     return CellResult(
         value=best_E,
-        u=best_u,
+        u=VectorField(cell, best_u.values * (zeta / amplitude if amplitude > 0 else zeta)),
         v=best_v,
         iterations=sweeps,
         energy_trace=trace,

@@ -24,6 +24,7 @@ def sqrt_kink():
         alpha=0.5,
         profile=lambda s: np.asarray(s, dtype=float) + np.sqrt(np.asarray(s, dtype=float)),
         profile_deriv=lambda s: 1.0 + 0.5 / np.sqrt(np.maximum(np.asarray(s, dtype=float), 1e-300)),
+        profile_deriv2=lambda s: -0.25 * np.maximum(np.asarray(s, dtype=float), 1e-300) ** -1.5,
         recession_slope=1.0,
         is_positively_homogeneous=False,
     )
@@ -49,37 +50,37 @@ class TestIntegrand:
 
 class TestEvalDensity:
     def test_euclid_norm(self):
-        assert euclid().eval((0.0, 0.0), [[3.0, 4.0]]) == pytest.approx(5.0)
+        assert euclid().eval_cells([(0.0, 0.0)], [[[3.0, 4.0]]])[0] == pytest.approx(5.0)
 
     def test_area_zero_gradient(self):
-        assert area().eval((0.3, -2.0), [[0.0, 0.0]]) == pytest.approx(1.0)
+        assert area().eval_cells([(0.3, -2.0)], [[[0.0, 0.0]]])[0] == pytest.approx(1.0)
 
     def test_laminate_piecewise_coefficient(self):
         g = laminate(1.0, 2.0)
-        assert g.eval((1.5, 0.0), [[1.0, 0.0]]) == pytest.approx(2.0)
-        assert g.eval((0.5, 0.0), [[1.0, 0.0]]) == pytest.approx(1.0)
+        assert g.eval_cells([(1.5, 0.0)], [[[1.0, 0.0]]])[0] == pytest.approx(2.0)
+        assert g.eval_cells([(0.5, 0.0)], [[[1.0, 0.0]]])[0] == pytest.approx(1.0)
 
     def test_purity_bit_identical(self):
         g = area()
-        vals = {g.eval((0.1, 0.2), [[1.7, -0.3]]) for _ in range(10)}
+        vals = {g.eval_cells([(0.1, 0.2)], [[[1.7, -0.3]]])[0] for _ in range(10)}
         assert len(vals) == 1
 
     def test_rejects_non_finite(self):
         with pytest.raises(InputDomainError):
-            euclid().eval((0.0, np.nan), [[1.0, 0.0]])
+            euclid().eval_cells([(0.0, np.nan)], [[[1.0, 0.0]]])[0]
         with pytest.raises(InputDomainError):
-            euclid().eval((0.0, 0.0), [[np.inf, 0.0]])
+            euclid().eval_cells([(0.0, 0.0)], [[[np.inf, 0.0]]])[0]
 
 
 class TestEvalRecession:
     def test_area_analytic_limit(self):
-        assert area().recession_integrand().eval((0.0, 0.0), [[1.0, 0.0]]) == pytest.approx(1.0)
+        assert area().recession_integrand().eval_cells([(0.0, 0.0)], [[[1.0, 0.0]]])[0] == pytest.approx(1.0)
 
     def test_euclid_already_homogeneous(self):
-        assert euclid().recession_integrand().eval((0.0, 0.0), [[0.0, 2.0]]) == pytest.approx(2.0)
+        assert euclid().recession_integrand().eval_cells([(0.0, 0.0)], [[[0.0, 2.0]]])[0] == pytest.approx(2.0)
 
     def test_zero_matrix(self):
-        assert area().recession_integrand().eval((0.0, 0.0), [[0.0, 0.0]]) == 0.0
+        assert area().recession_integrand().eval_cells([(0.0, 0.0)], [[[0.0, 0.0]]])[0] == 0.0
 
 
 class TestValidateAdmissibility:
@@ -102,6 +103,7 @@ class TestValidateAdmissibility:
             alpha=0.5,
             profile=lambda s: np.asarray(s, dtype=float),
             profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+            profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             recession_slope=1.0,
             is_positively_homogeneous=True,
         )
@@ -127,7 +129,7 @@ class TestCheckerboard:
         for _ in range(20):
             x = rng.uniform(-5, 5, size=2)
             xi = rng.normal(size=(1, 2))
-            assert model.realise().eval(x, xi) == pytest.approx(np.linalg.norm(xi))
+            assert model.realise().eval_cells([x], [xi])[0] == pytest.approx(np.linalg.norm(xi))
 
     def test_reproducible_coefficients(self):
         m1 = make_checkerboard(7, 1.0, 2.0)
@@ -166,7 +168,7 @@ class TestShift:
         for _ in range(50):
             x = rng.uniform(-10, 10, size=2)
             xi = rng.normal(size=(1, 2))
-            assert s.eval(x, xi) == m.eval(x, xi)
+            assert s.eval_cells([x], [xi])[0] == m.eval_cells([x], [xi])[0]
 
     def test_group_inverse(self, rng):
         m = make_checkerboard(5, 1.0, 2.0)
@@ -174,7 +176,7 @@ class TestShift:
         for _ in range(100):
             x = rng.uniform(-10, 10, size=2)
             xi = rng.normal(size=(1, 2))
-            assert s.eval(x, xi) == m.eval(x, xi)
+            assert s.eval_cells([x], [xi])[0] == m.eval_cells([x], [xi])[0]
 
     def test_group_law(self, rng):
         m = make_checkerboard(5, 1.0, 2.0)
@@ -183,7 +185,7 @@ class TestShift:
         for _ in range(100):
             x = rng.uniform(-10, 10, size=2)
             xi = rng.normal(size=(1, 2))
-            assert lhs.eval(x, xi) == rhs.eval(x, xi)
+            assert lhs.eval_cells([x], [xi])[0] == rhs.eval_cells([x], [xi])[0]
 
     def test_stationarity_exact(self, rng):
         m = make_checkerboard(11, 1.0, 3.0)
@@ -191,7 +193,7 @@ class TestShift:
             x = rng.uniform(-20, 20, size=2)
             xi = rng.normal(size=(1, 2))
             z = rng.integers(-15, 15, size=2)
-            assert shift(m, z).realise().eval(x, xi) == m.realise().eval(x + z, xi)
+            assert shift(m, z).realise().eval_cells([x], [xi])[0] == m.realise().eval_cells([x + z], [xi])[0]
 
     def test_non_integer_rejected(self):
         with pytest.raises(InputDomainError):
@@ -203,8 +205,8 @@ class TestResolve:
         assert resolve("euclid").id == "euclid"
         assert resolve("area").id == "area"
         g = resolve("laminate:1,2;seg=0.5;axis=1")
-        assert g.eval((0.0, 0.25), [[1.0, 0.0]]) == pytest.approx(1.0)
-        assert g.eval((0.0, 0.75), [[1.0, 0.0]]) == pytest.approx(2.0)
+        assert g.eval_cells([(0.0, 0.25)], [[[1.0, 0.0]]])[0] == pytest.approx(1.0)
+        assert g.eval_cells([(0.0, 0.75)], [[[1.0, 0.0]]])[0] == pytest.approx(2.0)
         model = resolve("checkerboard:7,1,2,euclid")
         assert model.master_seed == 7
 

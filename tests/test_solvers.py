@@ -66,24 +66,50 @@ def assemble_reference(cell, edge_w, mass_w=None):
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
 
 
-def reference_u_step(cell, v, bdata, delta, u0):
-    """One reweighted least-squares step for euclid, solved with scipy.sparse."""
-    n, h, N = cell.n, cell.h, bdata.N
-    w = cell_average(cell, v.values).reshape(-1) ** 2
-    Du = cell_gradient(cell, u0).reshape(cell.num_cells, N, n)
+def difference_matrix(cell):
+    """The forward differences D, rows (cell, axis) in C order, as a scipy.sparse matrix."""
+    C, n, h = cell.num_cells, cell.n, cell.h
+    corners = cell.cell_corner_nodes
+    rows = np.concatenate([np.arange(C) * n + a for a in range(n) for _ in range(2)])
+    cols = np.concatenate([nodes for a in range(n) for nodes in (corners[1 << a], corners[0])])
+    vals = np.concatenate([np.full(C, sign / h) for a in range(n) for sign in (1.0, -1.0)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(C * n, cell.num_nodes))
+
+
+def reference_newton_direction(cell, g, v, delta, u0):
+    """Newton direction of the smoothed u-objective from D^T H D, solved with scipy.sparse.
+
+    Component k solves its own diagonal Hessian block, with the 1e-14
+    floor on s = h^n w coeff p'(m)/m and the 1e-12 anchor of the u-step.
+    """
+    n, h, N, C = cell.n, cell.h, u0.shape[-1], cell.num_cells
+    D = difference_matrix(cell)
+    Du = (D @ u0.reshape(-1, N)).reshape(C, n, N).transpose(0, 2, 1)
     m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta**2)
-    om = h**n * w * 2.0 * (1.0 / (2.0 * m)) / h**2
-    scale = om.max()
-    om = np.maximum(om, 1e-14 * scale)
-    tau = 1e-12 * scale
-    A = assemble_reference(cell, om) + tau * sp.eye(cell.num_nodes, format="csr")
-    bflat = cell.boundary_mask.reshape(-1)
-    free, fixed = np.flatnonzero(~bflat), np.flatnonzero(bflat)
-    uflat = u0.reshape(-1, N)
-    rhs = tau * uflat[free] - A[free][:, fixed] @ uflat[fixed]
-    out = uflat.copy()
-    out[free] = spsolve(A[free][:, free].tocsc(), rhs).reshape(rhs.shape)
-    return out.reshape(u0.shape)
+    hw = h**n * cell_average(cell, v.values).reshape(-1) ** 2 * g.coeff_cells(cell.cell_centers_global)
+    s = hw * g.profile_deriv(m) / m
+    grad = D.T @ (s[:, None, None] * Du).transpose(0, 2, 1).reshape(C * n, N)
+    tau = 1e-12 * s.max() / h**2
+    s = np.maximum(s, 1e-14 * s.max())
+    free = np.flatnonzero(~cell.boundary_mask.reshape(-1))
+    out = np.empty((free.size, N))
+    for k in range(N):
+        r = Du[:, k, :] / m[:, None]
+        t = hw * g.profile_deriv2(m)
+        H = sp.block_diag([sc * (np.eye(n) - np.outer(rc, rc)) + tc * np.outer(rc, rc) for sc, tc, rc in zip(s, t, r)])
+        A = (D.T @ H @ D).tocsr()[free][:, free] + tau * sp.eye(free.size)
+        out[:, k] = spsolve(A.tocsc(), -grad[free, k])
+    return out
+
+
+def band_to_dense(op, store):
+    """The symmetric matrix held in a free-node band storage."""
+    ab = store.reshape(op.nfree, op.bw + 1).T
+    A = np.zeros((op.nfree, op.nfree))
+    for k in range(op.bw + 1):
+        j = np.arange(op.bw - k, op.nfree)
+        A[j - op.bw + k, j] = A[j, j - op.bw + k] = ab[k, j]
+    return A
 
 
 def reference_v_step(cell, ginf, u):
@@ -115,21 +141,38 @@ def sparse_products(cell, term, w, x):
     pos = np.full(cell.num_nodes, -1)
     pos[op.free] = np.arange(op.nfree)
     corners = cell.cell_corner_nodes
-    if term == "stencil":
-        pbase, pshift = corners[0], [corners[1 << a] for a in range(cell.n)]
-        pairs = [e for q in pshift for e in ((pbase, pbase, 1.0), (q, q, 1.0), (pbase, q, -1.0), (q, pbase, -1.0))]
+    pbase, n = corners[0], cell.n
+    # pairs (row node, column node, sign, weight row); the hessian's
+    # template (a, b) is the outer product of the differences along a and b
+    if term == "hessian":
+        diffs = [((corners[1 << a], 1.0), (pbase, -1.0)) for a in range(n)]
+        pairs = [
+            (p, q, sign_p * sign_q, a * n + b)
+            for a in range(n)
+            for b in range(n)
+            for p, sign_p in diffs[a]
+            for q, sign_q in diffs[b]
+        ]
+    elif term == "stencil":
+        pshift = [corners[1 << a] for a in range(n)]
+        pairs = [
+            e for q in pshift for e in ((pbase, pbase, 1.0, 0), (q, q, 1.0, 0), (pbase, q, -1.0, 0), (q, pbase, -1.0, 0))
+        ]
     else:
-        pairs = [(p, q, 1.0) for p in corners for q in corners]
+        pairs = [(p, q, 1.0, 0) for p in corners for q in corners]
+    w = np.atleast_2d(w)
+    # one column per (cell, weight row), cell-major
     c = np.tile(np.arange(cell.num_cells), len(pairs))
-    nodes = np.concatenate([q for _, q, _ in pairs])
-    i, j = pos[np.concatenate([p for p, _, _ in pairs])], pos[nodes]
-    s = np.repeat([sign for _, _, sign in pairs], cell.num_cells)
+    col = c * len(w) + np.repeat([row for *_, row in pairs], cell.num_cells)
+    nodes = np.concatenate([q for _, q, _, _ in pairs])
+    i, j = pos[np.concatenate([p for p, *_ in pairs])], pos[nodes]
+    s = np.repeat([sign for _, _, sign, _ in pairs], cell.num_cells)
     sel = (i >= 0) & (j >= 0) & (i <= j)
     slot = np.ravel_multi_index((op.bw + i[sel] - j[sel], j[sel]), (op.bw + 1, op.nfree), order="F")
-    store = sp.csc_matrix((s[sel], (slot, c[sel])), shape=(op.nslots, cell.num_cells)) @ w
+    store = sp.csc_matrix((s[sel], (slot, col[sel])), shape=(op.nslots, w.size)) @ w.T.ravel()
     fb = np.flatnonzero((i >= 0) & (j < 0))
     gather = sp.csc_matrix((s[fb], (i[fb], np.arange(fb.size))), shape=(op.nfree, fb.size))
-    return store, gather @ (w[c[fb], None] * x[nodes[fb]])
+    return store, gather @ (w.T.ravel()[col[fb], None] * x[nodes[fb]])
 
 
 def relative_gap(a, b):
@@ -149,17 +192,29 @@ class TestFreeNodeOperator:
     """Both steps against a scipy.sparse assembly of the same systems."""
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
-    def test_u_step_matches_sparse_reference(self, name, rng, monkeypatch):
+    def test_newton_direction_matches_sparse_solve(self, name, rng, monkeypatch):
         cell, zeta = EQUIVALENCE_CELLS[name]
         bdata = jump_datum(cell, zeta, cell.rotation.nu, eps_width=4 * cell.h)
         v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
         start = bdata.values + 0.3 * rng.standard_normal(bdata.values.shape)
         start[cell.boundary_mask] = bdata.values[cell.boundary_mask]
-        stats = {}
+        # the direction is what the factorised Hessian returns
+        solve, directions = cellhom.solvers._solve_free, []
+
+        def capture(*args):
+            directions.append(solve(*args).copy())
+            return directions[-1]
+
+        monkeypatch.setattr(cellhom.solvers, "_solve_free", capture)
         monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
-        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-2, start=VectorField(cell, start), stats=stats)
+        stats = {}
+        # at delta = 0.1 these Hessians have condition numbers up to about
+        # 2e5 (the 1D cell), so two direct solves agree to 1e-12
+        minimize_u_given_v(cell, euclid(), v, bdata, 1e-1, start=VectorField(cell, start), stats=stats)
         assert stats["iterations"] == 1 and not stats["stalled"]
-        assert relative_gap(out.values, reference_u_step(cell, v, bdata, 1e-2, start)) <= 1e-12
+        assert len(directions) == bdata.N
+        reference = reference_newton_direction(cell, euclid(), v, 1e-1, start)
+        assert relative_gap(np.hstack(directions), reference) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
     def test_v_step_matches_sparse_reference(self, name, rng):
@@ -171,16 +226,20 @@ class TestFreeNodeOperator:
         assert relative_gap(v.values, reference_v_step(cell, euclid(), u)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
-    @pytest.mark.parametrize("term", ["stencil", "mass"])
+    @pytest.mark.parametrize("term", ["stencil", "mass", "hessian"])
     def test_assembly_matches_sparse_product_exactly(self, name, term, rng):
         cell, _ = EQUIVALENCE_CELLS[name]
         op = cell.free_operator
-        w = rng.uniform(0.1, 2.0, size=cell.num_cells)
+        # the hessian takes one weight row per axis pair (a, b)
+        shape = (cell.n**2, cell.num_cells) if term == "hessian" else cell.num_cells
+        w = rng.uniform(0.1, 2.0, size=shape)
         for N in (1, 2):
             x = rng.standard_normal((cell.num_nodes, N))
             store, fixed = sparse_products(cell, term, w, x)
             assert np.array_equal(op.assemble(term, w), store)
-            assert np.array_equal(op.fixed_product(term, w, op.fixed_values(term, x)), fixed)
+            # the Newton step moves free nodes only: no free-fixed block
+            if term != "hessian":
+                assert np.array_equal(op.fixed_product(term, w, op.fixed_values(term, x)), fixed)
 
     @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
     def test_indefinite_band_is_a_breakdown(self, name):
@@ -293,7 +352,57 @@ class TestSolveSurfaceCell:
         assert one.value == two.value
 
 
+    def test_vector_jump_is_the_scalar_cell(self):
+        cell = make_cell((0.0, 0.0), 8.0, (0.6, 0.8), 1, 0.25)
+        zeta = np.array([0.6, 0.8])
+        vector = solve_surface_cell(cell, euclid(), zeta, (0.6, 0.8))
+        scalar = solve_surface_cell(cell, euclid(), [np.linalg.norm(zeta)], (0.6, 0.8))
+        assert vector.value == scalar.value and vector.converged and scalar.converged
+        assert vector.energy_trace == scalar.energy_trace
+        np.testing.assert_allclose(vector.u.values, scalar.u.values * zeta / np.linalg.norm(zeta), rtol=0, atol=1e-15)
+
+    def test_exhausted_u_step_reports_unconverged(self, monkeypatch):
+        # one smoothing level, whose sweeps meet their test even with
+        # one-iteration u-steps; those u-steps ran out of their budget
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
+        monkeypatch.setattr(cellhom.solvers, "DELTA_SCHEDULE", (1e-1,))
+        assert solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0)).converged
+        monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
+        assert not solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0)).converged
+
+
 class TestMinimizeUGivenV:
+    @pytest.mark.parametrize("g", [euclid(), area()], ids=["euclid", "area"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_newton_system_matches_finite_differences(self, g, n, rng):
+        cell = make_cell((0.0,) * n, 2.0, np.eye(n)[-1], 1, 0.5 if n == 2 else 0.25)
+        op = cell.free_operator
+        weights = rng.uniform(0.2, 1.0, size=cell.num_cells)
+        coeff = g.coeff_cells(cell.cell_centers_global)
+        u = rng.standard_normal(cell.node_shape + (1,))
+
+        def objective(x):
+            return cellhom.solvers._smoothed_objective(cell, g, coeff, weights, 0.3**2, x, 1)
+
+        def system(x):
+            _, Du, m = objective(x)
+            grad, hess, _ = cellhom.solvers._newton_system(cell, g, coeff, weights, Du, m)
+            return grad.reshape(-1)[op.free], band_to_dense(op, op.assemble("hessian", hess[0]))
+
+        def bumped(k, eps):
+            x = u.copy()
+            x.reshape(-1)[op.free[k]] += eps
+            return x
+
+        grad, hess = system(u)
+        eps = 1e-5
+        fd_grad = [(objective(bumped(k, eps))[0] - objective(bumped(k, -eps))[0]) / (2 * eps) for k in range(op.nfree)]
+        fd_hess = np.column_stack(
+            [(system(bumped(k, eps))[0] - system(bumped(k, -eps))[0]) / (2 * eps) for k in range(op.nfree)]
+        )
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-8 * np.abs(hess).max())
+
     def test_zero_weight_keeps_start(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         v = PhaseField(cell, np.zeros(cell.node_shape))
@@ -332,6 +441,7 @@ class TestMinimizeUGivenV:
             alpha=0.5,
             profile=lambda s: np.asarray(s, dtype=float),
             profile_deriv=lambda s: np.full_like(np.asarray(s, dtype=float), np.nan),
+            profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             recession_slope=1.0,
         )
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
