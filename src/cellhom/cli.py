@@ -36,7 +36,8 @@ from .homogenise import (
     mc_expectation,
     subadditive_process_eval,
 )
-from .integrand import RandomIntegrandModel, resolve
+from .geometry import rotation_for_normal
+from .integrand import InputDomainError, RandomIntegrandModel, resolve
 from .solvers import SolverBreakdown
 from .verify import run_suite
 
@@ -163,6 +164,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
+    # spacings, sizes and recession scales no solve can use
+    for key, values in (("h", (cfg.h,)), ("r", cfg.r_values), ("t_schedule", cfg.t_schedule)):
+        if bad := [x for x in values if not (np.isfinite(x) and x > 0)]:
+            raise ConfigError(f"{key!r} must be finite and positive, got {bad[0]!r}")
+    if cfg.nu:
+        try:
+            rotation_for_normal(cfg.nu)
+        except InputDomainError as exc:
+            raise ConfigError(f"'nu': {exc}") from exc
     if cfg.route != "both" and cfg.route not in ROUTES:
         raise ConfigError(f"unknown route {cfg.route!r}; expected 'both' or one of {ROUTES}")
     if command in ("fhom", "finfhom", "sweep") and not cfg.xi:

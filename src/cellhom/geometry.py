@@ -232,17 +232,17 @@ def _free_operator(dims):
 class FreeNodeOperator:
     """Free-node layout shared by the u-step and the v-step on one grid.
 
-    Both steps minimise quadratic forms in the nodal values x built from
-    per-cell weights.  The element template of an axis pair (a, b) is
-    (e_{q_a(c)} - e_{p(c)})(e_{q_b(c)} - e_{p(c)})^T, with p(c) the base
-    corner of cell c and q_a(c) its forward neighbour along axis a.
-    Three terms are built from them: the ``hessian``, which scales the
-    template of (a, b) by its own weight row a*n + b; the ``stencil``,
-    the sum of the (a, a) templates under one weight, i.e.
-    sum_c w_c sum_a (x_{q_a(c)} - x_{p(c)})^2; and the corner ``mass``,
+    Both steps minimise quadratic forms in the free nodal values x built
+    from per-cell weights.  The element template of an axis pair (a, b)
+    is (e_{q_a(c)} - e_{p(c)})(e_{q_b(c)} - e_{p(c)})^T, with p(c) the
+    base corner of cell c and q_a(c) its forward neighbour along axis a.
+    Two terms are built from them: the ``hessian``, which scales the
+    template of (a, b) by its own weight row a*n + b (weights on the
+    (a, a) rows alone give the Laplacian stencil
+    sum_c w_c sum_a (x_{q_a(c)} - x_{p(c)})^2), and the corner ``mass``,
     sum_c m_c (sum of the 2^n corner values of c)^2.  Boundary nodes are
-    fixed, so only the free-free block is factorised and the free-fixed
-    block moves to the right-hand side.
+    fixed and both steps solve for free-node values only, so only the
+    free-free block is built.
 
     Free nodes are numbered in the grid's C order, so the free-free block
     is a band whose half-width ``bw`` is the offset of a cell's diagonal
@@ -253,10 +253,8 @@ class FreeNodeOperator:
     arrays, with no scipy.sparse matrix: :meth:`assemble` adds one
     coefficient per (cell, slot) times the cell weight with
     ``np.bincount``, each slot taking its cells in ascending order and,
-    within a cell, its weight rows in ascending order, and
-    :meth:`fixed_product` sums the free-fixed couplings in a fixed
-    order.  An operator is shared by every cell of its dims, so
-    nothing in it may be written to.
+    within a cell, its weight rows in ascending order.  An operator is
+    shared by every cell of its dims, so nothing in it may be written to.
     """
 
     def __init__(self, cell: CellDomain):
@@ -278,7 +276,6 @@ class FreeNodeOperator:
         terms = {
             t: tuple(np.array(x) for x in zip(*entries))
             for t, entries in (
-                ("stencil", [e for a in range(n) for e in template(a, a, 0)]),
                 ("hessian", [e for a in range(n) for b in range(n) for e in template(a, b, a * n + b)]),
                 ("mass", [(p, q, 1.0, 0) for p in corners for q in corners]),
             )
@@ -293,12 +290,7 @@ class FreeNodeOperator:
         self.diag = np.arange(nfree) * (self.bw + 1) + self.bw
 
         self._band = {}
-        self._fixed = {}
         for t, (p, q, sign, row) in terms.items():
-            i, j = pos[p], pos[q]
-            # the free-fixed couplings, pair by pair and cell by cell
-            fb = np.nonzero((i >= 0) & (j < 0))
-            self._fixed[t] = (i[fb], fb[1], q[fb], sign[fb[0]])
             # pairs of the same two cell-local nodes (equal nodes in cell 0)
             # and weight row form one group with one coefficient; a group
             # meets each slot in at most one cell, and groups in descending
@@ -308,7 +300,7 @@ class FreeNodeOperator:
             key = np.stack([-p[:, 0], q[:, 0], row], 1)
             _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
             coef = np.bincount(group.reshape(-1), weights=sign)
-            i, j = i[first], j[first]
+            i, j = pos[p[first]], pos[q[first]]
             sel = (i >= 0) & (j >= 0) & (i <= j)
             slot = j * (self.bw + 1) + self.bw + i - j
             # couplings to a fixed node go to the spare slot nslots
@@ -318,24 +310,14 @@ class FreeNodeOperator:
         self.diag.setflags(write=False)
 
     def assemble(self, term, weights):
-        """Storage of the free-free block of a term under cell weights, (cells,) or (n*n, cells) for ``hessian``."""
+        """Band storage of a term's free-free block under cell weights.
+
+        ``weights`` is (cells,) for ``mass`` and (n*n, cells) for
+        ``hessian``, one row per axis pair (a, b).
+        """
         slots, coef, rows = self._band[term]
         w = np.atleast_2d(weights)[rows]
         return np.bincount(slots, weights=(coef[:, None] * w).ravel(), minlength=self.nslots + 1)[:-1]
-
-    def fixed_values(self, term, x):
-        """Signed fixed-node values of a term's free-fixed couplings; x is (num_nodes, N)."""
-        _, _, nodes, signs = self._fixed[term]
-        return signs[:, None] * x[nodes]
-
-    def fixed_product(self, term, weights, xb):
-        """A_fb x_b, shape (nfree, N): the free-fixed block under cell weights on ``fixed_values``."""
-        rows, cells, _, _ = self._fixed[term]
-        vals = weights[cells, None] * xb
-        out = np.empty((self.nfree, vals.shape[1]))
-        for k, col in enumerate(vals.T):
-            out[:, k] = np.bincount(rows, weights=col, minlength=self.nfree)
-        return out
 
 
 def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:
@@ -345,6 +327,7 @@ def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:
     realised sides are recorded on the domain.  Requires h <= side/4 so
     every axis carries at least four cells.
     """
+    h = _spacing(h)
     if side <= 0:
         raise InputDomainError("side must be positive")
     if k < 1 or int(k) != k:
@@ -360,7 +343,14 @@ def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:
 
 def make_box_cell(nu, lo, hi, h, center=None) -> CellDomain:
     """Grid on the rotated box R([lo, hi)) + center; extents snap to h."""
-    return _box_cell(rotation_for_normal(nu), lo, hi, h, center)
+    return _box_cell(rotation_for_normal(nu), lo, hi, _spacing(h), center)
+
+
+def _spacing(h):
+    h = float(h)
+    if not (np.isfinite(h) and h > 0):
+        raise InputDomainError(f"spacing h must be finite and positive, got {h!r}")
+    return h
 
 
 def _box_cell(rot, lo, hi, h, center):

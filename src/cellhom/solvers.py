@@ -18,14 +18,16 @@ stalled.  Reported energies are always evaluated with the unsmoothed
 density, so every returned value is a true upper bound of the discrete
 minimum.
 
-The v-step is exact: the surface energy is a convex quadratic in the
-nodal phase values, solved directly; boundary nodes stay 1.
+The v-step is exact: the surface energy is quadratic in the nodal
+phase values, so one Newton step from v = 1 reaches its minimiser, and
+a flat u leaves v = 1 exactly; boundary nodes stay 1.
 
-Both steps sum their cell weights into the free-free block of the
-cell's ``free_operator`` (see :class:`cellhom.geometry.FreeNodeOperator`)
-with ``np.bincount``, with no scipy.sparse scatter, and solve each
-system (the u-step: one per component) with one call of LAPACK's
-``dpbsv`` (banded Cholesky, ``dpbtrf`` then ``dpbtrs``).  A
+Both steps solve for free-node values.  Each sums its cell weights into
+the free-free block of the cell's ``free_operator`` (see
+:class:`cellhom.geometry.FreeNodeOperator`) with ``np.bincount``, both
+building the Laplacian as its ``hessian`` term, and solves each system
+(the u-step: one per component) with one call of LAPACK's ``dpbsv``
+(banded Cholesky, ``dpbtrf`` then ``dpbtrs``).  A
 factorisation that breaks down, or a phase solve with non-finite values,
 raises :class:`SolverBreakdown`.
 
@@ -247,12 +249,14 @@ def minimize_v_given_u(cell: CellDomain, ginf: Integrand, u: VectorField) -> Pha
     """Exact minimiser of the surface energy in v at fixed u.
 
     The energy is quadratic in the nodal phase values with cell weights
-    W_c = ginf(y_c, Du_c) >= 0; the stationarity system is symmetric
-    positive definite and solved directly; boundary nodes are 1.
-    :class:`PhaseField` clamps the solution to [0, 1].
+    W_c = ginf(y_c, Du_c) >= 0, so one Newton step from v = 1 is exact:
+    v_free = 1 - A^-1 g, with A the half-Hessian (the Laplacian at
+    h^(n-2) plus the corner mass at h^n (W + 1) / 4^n) and g the
+    half-gradient at v = 1, h^n W_c / 2^n at each corner of every cell.
+    Boundary nodes stay 1; :class:`PhaseField` clamps to [0, 1].
     """
-    n = cell.n
-    hn = cell.h**n
+    n, h = cell.n, cell.h
+    hn = h**n
     Du = cell_gradient(cell, u.values).reshape(cell.num_cells, u.N, n)
     W = ginf.eval_cells(cell.cell_centers_global, Du)
     if np.any(W < -1e-12):
@@ -260,16 +264,14 @@ def minimize_v_given_u(cell: CellDomain, ginf: Integrand, u: VectorField) -> Pha
     W = np.maximum(W, 0.0)
 
     op = cell.free_operator
-    mass = hn * (W + 1.0) / 4**n
-    lap = np.full(cell.num_cells, cell.h ** (n - 2))
-    store = op.assemble("stencil", lap) + op.assemble("mass", mass)
-    # the linear term of (1 - vbar)^2 gives each corner hn / 2^n per cell,
-    # and every free node is a corner of 2^n cells; fixed nodes are 1
-    ones = np.ones((cell.num_nodes, 1))
-    xs, xm = op.fixed_values("stencil", ones), op.fixed_values("mass", ones)
-    rhs = hn - op.fixed_product("stencil", lap, xs) - op.fixed_product("mass", mass, xm)
+    lap = np.zeros((n * n, cell.num_cells))
+    lap[:: n + 1] = h ** (n - 2)
+    store = op.assemble("hessian", lap)
+    store += op.assemble("mass", hn * (W + 1.0) / 4**n)
+    corners = cell.cell_corner_nodes
+    grad = np.bincount(np.concatenate(corners), weights=np.tile(hn * W / 2**n, len(corners)), minlength=cell.num_nodes)
     vvals = np.ones(cell.num_nodes)
-    vvals[op.free] = _solve_free(op, store, rhs)[:, 0]
+    vvals[op.free] -= _solve_free(op, store, grad[op.free, None])[:, 0]
     if not np.all(np.isfinite(vvals)):
         raise SolverBreakdown("phase solve broke down: non-finite solution")
     return PhaseField(cell, vvals.reshape(cell.node_shape))

@@ -91,6 +91,17 @@ def _norm(x):
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
+def _max_difference_quotient(estimates, worst):
+    """The larger of ``worst`` and every |est_i - est_j| / |arg_i - arg_j| over pairs of distinct first arguments."""
+    for i in range(len(estimates)):
+        for j in range(i + 1, len(estimates)):
+            d = _norm(np.asarray(estimates[i].argument[0]) - np.asarray(estimates[j].argument[0]))
+            if d < 1e-12:
+                continue
+            worst = max(worst, abs(estimates[i].extrapolated - estimates[j].extrapolated) / d)
+    return worst
+
+
 def check_admissibility(g: Integrand) -> PropertyCheck:
     """The declared (C, alpha) constants of g hold on the validator's sample.
 
@@ -133,17 +144,9 @@ def check_fhom_lipschitz(
     if len(estimates) < 3:
         raise InputDomainError("need at least 3 estimates for the Lipschitz check")
     cap = C * np.sqrt(n) * n * (2.0 * n) if K_cap is None else K_cap
-    worst = 0.0
-    for i in range(len(estimates)):
-        for j in range(i + 1, len(estimates)):
-            xi1, xi2 = estimates[i].argument[0], estimates[j].argument[0]
-            d = _norm(np.asarray(xi1) - np.asarray(xi2))
-            if d < 1e-12:
-                continue
-            worst = max(worst, abs(estimates[i].extrapolated - estimates[j].extrapolated) / d)
     return PropertyCheck.of(
         "fhom-lipschitz",
-        worst - cap,
+        _max_difference_quotient(estimates, 0.0) - cap,
         0.0,
         "lipschitz:effective-bulk-density",
         estimates,
@@ -229,14 +232,7 @@ def check_ghom_symmetry_and_lipschitz(
         scale = max(abs(e1.extrapolated), abs(e2.extrapolated), 1e-12)
         margin = max(margin, abs(e1.extrapolated - e2.extrapolated) / scale - sym_tol)
     cap = lip_factor * C * 2.0 * n
-    for i in range(len(sweep)):
-        for j in range(i + 1, len(sweep)):
-            z1, z2 = sweep[i].argument[0], sweep[j].argument[0]
-            d = _norm(np.asarray(z1) - np.asarray(z2))
-            if d < 1e-12:
-                continue
-            quot = abs(sweep[i].extrapolated - sweep[j].extrapolated) / d
-            margin = max(margin, quot - cap)
+    margin = max(margin, _max_difference_quotient(sweep, -np.inf) - cap)
     return PropertyCheck.of(
         "ghom-symmetry-lipschitz",
         margin,

@@ -354,6 +354,29 @@ class TestMain:
         assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    # each would fail inside a solve, after the output directory exists
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ("command = fhom\nxi = 1,0\nr = 4\nh = 0\n", "'h' must be finite and positive, got 0.0"),
+            ("command = fhom\nxi = 1,0\nr = 4\nh = -0.25\n", "'h' must be finite and positive, got -0.25"),
+            ("command = fhom\nxi = 1,0\nr = 4\nh = nan\n", "'h' must be finite and positive, got nan"),
+            ("command = fhom\nxi = 1,0\nr = 4,0\n", "'r' must be finite and positive, got 0.0"),
+            (
+                "command = finfhom\nxi = 1,0\nr = 4\nroute = recession_of_hom\nt_schedule = 0,8\n",
+                "'t_schedule' must be finite and positive, got 0.0",
+            ),
+            ("command = ghom\nzeta = 1\nnu = 0,2\nr = 4\n", "'nu': normal must be a unit vector, |nu| = 2"),
+        ],
+        ids=["h-zero", "h-negative", "h-nan", "r-zero", "t-zero", "nu-not-unit"],
+    )
+    def test_unusable_size_leaves_no_output(self, tmp_path, capsys, config, error):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_mc_bulk_reads_k(self):
         cfg = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 1,2\nk = 2\n")
         assert cfg.k == 2

@@ -6,6 +6,7 @@ import pytest
 from cellhom.geometry import (
     CellDomain,
     ResolutionError,
+    make_box_cell,
     make_cell,
     rotation_for_normal,
 )
@@ -79,6 +80,13 @@ class TestMakeCell:
     def test_resolution_error(self):
         with pytest.raises(ResolutionError):
             make_cell(center=(0.0, 0.0), side=1.0, nu=(0.0, 1.0), k=1, h=0.5)
+
+    @pytest.mark.parametrize("h", [0.0, -0.25, np.nan, np.inf])
+    def test_unusable_spacing(self, h):
+        with pytest.raises(InputDomainError, match="spacing h must be finite and positive"):
+            make_cell(center=(0.0, 0.0), side=4.0, nu=(0.0, 1.0), k=1, h=h)
+        with pytest.raises(InputDomainError, match="spacing h must be finite and positive"):
+            make_box_cell((0.0, 1.0), (0.0, 0.0), (1.0, 1.0), h)
 
     def test_rotated_cell_nodes_cover_rotated_box(self):
         cell = make_cell(center=(1.0, -2.0), side=4.0, nu=(0.6, 0.8), k=1, h=0.5)
