@@ -11,6 +11,13 @@ quantitative structure of the estimated densities.
 
 __version__ = "0.1.0"
 
+import os
+
+# one BLAS thread unless the caller chose a count, set before numpy loads: a
+# multi-threaded OpenBLAS runs the small band factorisations several times slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .fields import (
     PhaseField,
     VectorField,

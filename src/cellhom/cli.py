@@ -135,6 +135,11 @@ _CONFIG_KEYS = {
 }
 
 
+def _require_positive(key, values):
+    if bad := [x for x in values if not (np.isfinite(x) and x > 0)]:
+        raise ConfigError(f"{key!r} must be finite and positive, got {bad[0]!r}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a key=value config; unknown keys are rejected."""
     cfg = RunConfig(command=None, raw_text=text)
@@ -164,10 +169,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
-    # spacings, sizes and recession scales no solve can use
+    # spacings, sizes, recession and tolerance scales no run can use
     for key, values in (("h", (cfg.h,)), ("r", cfg.r_values), ("t_schedule", cfg.t_schedule)):
-        if bad := [x for x in values if not (np.isfinite(x) and x > 0)]:
-            raise ConfigError(f"{key!r} must be finite and positive, got {bad[0]!r}")
+        _require_positive(key, values)
+    _require_positive("tol_scale", (cfg.tol_scale,))
     if cfg.nu:
         try:
             rotation_for_normal(cfg.nu)
@@ -401,16 +406,18 @@ def main(argv=None) -> int:
         return 1
     try:
         config = parse_config(text)
+        if args.seed_override is not None:
+            if config.command != "mc":
+                raise ConfigError(f"'--seed-override': command {config.command!r} reads no seeds")
+            # rebase the seed list, preserving the ensemble size
+            config.seeds = tuple(args.seed_override + i for i in range(len(config.seeds)))
+            config.raw_text += f"\n# seed-override={args.seed_override}\n"
+        if args.tol_scale is not None:
+            _require_positive("--tol-scale", (args.tol_scale,))
+            config.tol_scale = args.tol_scale
     except ConfigError as exc:
         print(f"cellhom: config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed_override is not None:
-        # rebase the seed list, preserving the ensemble size
-        width = max(len(config.seeds), 1)
-        config.seeds = tuple(args.seed_override + i for i in range(width))
-        config.raw_text += f"\n# seed-override={args.seed_override}\n"
-    if args.tol_scale is not None:
-        config.tol_scale = args.tol_scale
     return run(config, out_dir=args.out)
 
 

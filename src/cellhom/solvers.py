@@ -10,13 +10,14 @@ zeta is solved as the scalar cell of amplitude |zeta|.
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over a decreasing delta schedule.
 Every density has the form coeff(x) * profile(|xi|), and the step is a
-damped Newton iteration on it: each iteration solves the Hessian (for
-N >= 2, each component's diagonal block) and halves the step until the
-Armijo condition holds, so the surrogate energy cannot increase; a
-failed line search or a non-finite system ends the iteration as
-stalled.  Reported energies are always evaluated with the unsmoothed
-density, so every returned value is a true upper bound of the discrete
-minimum.
+damped primal-dual Newton iteration on it (Chan, Golub and Mulet): each
+iteration solves the Hessian, with a dual estimate of Du/m that the cell
+solvers carry across delta levels and sweeps (for N >= 2, each
+component's diagonal block), and halves the step until the Armijo
+condition holds, so the surrogate energy cannot increase; a failed line
+search or a non-finite system ends the iteration as stalled.  Reported
+energies are always evaluated with the unsmoothed density, so every
+returned value is a true upper bound of the discrete minimum.
 
 The v-step is exact: the surface energy is quadratic in the nodal
 phase values, so one Newton step from v = 1 reaches its minimiser, and
@@ -136,16 +137,18 @@ def _smoothed_objective(cell, g, coeff, weights, delta2, u_values, N):
     return cell.h**cell.n * float(np.sum(weights * vals)), Du, m
 
 
-def _newton_system(cell, g, coeff, weights, Du, m):
-    """Gradient and Hessian of the smoothed objective at the cell gradients Du.
+def _newton_system(cell, g, coeff, weights, Du, m, q):
+    """Gradient and primal-dual Hessian of the smoothed objective at the cell gradients Du.
 
     With s = h^n w coeff p'(m)/m the cell fluxes are s Du / h, and the
     gradient (num_nodes, N) is their sum at the nodes of the forward
-    differences.  Per cell, the Hessian in xi = Du is
-    s (I - xi xi^T/m^2) + h^n w coeff p''(m) xi xi^T/m^2.  The diagonal
-    block of each component, with s floored at 1e-14 of its largest
-    value, gives the ``hessian`` template weights (N, n*n, cells) over
-    h^2.  Also returns the largest s / h^2.
+    differences.  Per cell, with r = Du/m and t = h^n w coeff p''(m), the
+    Hessian in xi = Du is s I + (t - s)(q r^T + r q^T)/2, with q the dual
+    estimate of r (cells, N, n); q = r gives the primal Hessian, and
+    |q| <= 1 keeps it SPD for every density here.  The diagonal block of
+    each component, with s floored at 1e-14 of its largest value, gives
+    the ``hessian`` template weights (N, n*n, cells) over h^2.  Also
+    returns the largest s / h^2.
     """
     n, h = cell.n, cell.h
     hw = h**n * weights * coeff
@@ -160,8 +163,17 @@ def _newton_system(cell, g, coeff, weights, Du, m):
     s = np.maximum(s, 1e-14 * smax)
     t = hw * np.asarray(g.profile_deriv2(m), dtype=float)
     r = Du / m[:, None, None]
-    H = (t - s)[:, None, None, None] * r[..., :, None] * r[..., None, :] + s[:, None, None, None] * np.eye(n)
+    qr = q[..., :, None] * r[..., None, :]
+    H = (t - s)[:, None, None, None] * 0.5 * (qr + qr.swapaxes(-1, -2)) + s[:, None, None, None] * np.eye(n)
     return grad, H.reshape(m.size, -1, n * n).transpose(1, 2, 0) / h**2, smax / h**2
+
+
+def _ball_step(q, dq):
+    """min(1, 0.99 x the largest step along dq that keeps every |q_c| <= 1)."""
+    a, b = np.sum(dq**2, axis=(1, 2)), np.sum(q * dq, axis=(1, 2))
+    c = np.minimum(np.sum(q**2, axis=(1, 2)) - 1.0, 0.0)
+    roots = (np.sqrt(b**2 - a * c) - b)[a > 0] / a[a > 0]
+    return min(1.0, 0.99 * float(np.min(roots, initial=np.inf)))
 
 
 def minimize_u_given_v(
@@ -172,24 +184,31 @@ def minimize_u_given_v(
     delta: float,
     start: VectorField | None = None,
     stats: dict | None = None,
+    dual: np.ndarray | None = None,
 ) -> VectorField:
     """Approximate minimiser of the vbar^2-weighted, delta-smoothed energy.
 
     Dirichlet values are taken from ``boundary`` on every boundary node.
 
-    Damped Newton on the smoothed objective: each iteration solves the
-    Hessian (for N >= 2, each component with its own diagonal block) for
-    a direction and backtracks along it, halving the step (at most 30
-    times) until the Armijo condition (c = 1e-4) holds, so the energy
-    never increases.  A vanishing Tikhonov anchor tau on the diagonal
-    keeps the system definite where the weight vanishes and makes the
-    flat-region tie-break deterministic (the previous iterate survives
-    there).
+    Primal-dual Newton (Chan, Golub and Mulet, SIAM J. Sci. Comput. 20,
+    1999): a dual estimate q (cells, N, n), |q_c| <= 1, of r = Du/m
+    replaces r r^T in the Hessian by (q r^T + r q^T)/2, since where
+    |Du| >> delta the primal curvature along r, delta^2/m^2, makes the
+    full step overshoot.  Each iteration solves it (for N >= 2, each
+    component's diagonal block) for a direction and halves the step (at
+    most 30 times) until the Armijo condition (c = 1e-4) holds, so the
+    energy never increases.  An accepted change dxi of Du moves q by the
+    linearisation of q m = Du, dq = (dxi - q <r, dxi>)/m - (q - r), scaled
+    by ``_ball_step``.  ``dual`` starts q; without it q = r, the primal
+    Newton step.  A vanishing Tikhonov anchor tau on the diagonal keeps
+    the system definite where the weight vanishes and makes the flat-region
+    tie-break deterministic (the previous iterate survives there).
 
     Stops when a full step changes the objective by at most ``INNER_TOL``
     times max(1, |objective|) (converged), and on a non-finite system or
     a failed line search (stalled, in ``stats``); ``stats["iterations"]``
-    counts the Hessian solves.  Only accepted iterates are returned.
+    counts the Hessian solves and ``stats["dual"]`` holds the final q.
+    Only accepted iterates are returned.
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
@@ -202,11 +221,12 @@ def minimize_u_given_v(
     u = (start.values if start is not None else boundary.values).copy()
     u[bmask] = boundary.values[bmask]
     E, Du, m = _smoothed_objective(cell, g, coeff, weights, delta**2, u, N)
+    q = Du / m[:, None, None] if dual is None else dual
 
     it = 0
     converged = stalled = False
     while it < U_MAX_ITERS and not (converged or stalled):
-        grad, hess, scale = _newton_system(cell, g, coeff, weights, Du, m)
+        grad, hess, scale = _newton_system(cell, g, coeff, weights, Du, m, q)
         grad = grad.reshape(-1, N)[op.free]
         if not scale > 0.0:
             # no weight anywhere leaves nothing to minimise; NaN is a stall
@@ -228,6 +248,9 @@ def minimize_u_given_v(
             E_try, Du_try, m_try = _smoothed_objective(cell, g, coeff, weights, delta**2, u_try, N)
             converged = halvings == 0 and abs(E - E_try) <= INNER_TOL * max(1.0, abs(E))
             if E_try <= E + 1e-4 * step * slope or (converged and E_try <= E):
+                r, dxi = Du / m[:, None, None], Du_try - Du
+                dq = (dxi - q * np.sum(r * dxi, axis=(1, 2))[:, None, None]) / m[:, None, None] - (q - r)
+                q = q + _ball_step(q, dq) * dq
                 u, E, Du, m = u_try, E_try, Du_try, m_try
                 break
             if converged:
@@ -236,7 +259,7 @@ def minimize_u_given_v(
             stalled = True
 
     if stats is not None:
-        stats.update(iterations=it, objective=E, converged=converged, stalled=stalled)
+        stats.update(iterations=it, objective=E, converged=converged, stalled=stalled, dual=q)
     return VectorField(cell, u)
 
 
@@ -299,9 +322,10 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     trace = [best_E]
     iters = 0
     converged = True
+    # each u-step overwrites every entry; the dual carries over
+    stats = {}
     for delta in DELTA_SCHEDULE:
-        stats = {}
-        u_try = minimize_u_given_v(cell, g, ones, bdata, delta, start=u_run, stats=stats)
+        u_try = minimize_u_given_v(cell, g, ones, bdata, delta, u_run, stats=stats, dual=stats.get("dual"))
         iters += stats["iterations"]
         E_try = bulk_energy(cell, g, u_try)
         if E_try < best_E:
@@ -372,10 +396,11 @@ def solve_surface_cell(
     sweeps = 0
     converged = True
     E_prev = best_E
+    # each u-step overwrites every entry; the dual carries over
+    stats = {}
     for delta in DELTA_SCHEDULE:
         for _ in range(AM_MAX_ITERS):
-            stats = {}
-            u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, start=u_run, stats=stats)
+            u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, u_run, stats=stats, dual=stats.get("dual"))
             converged = converged and stats["converged"]
             v_try = minimize_v_given_u(cell, ginf, u_try)
             E_try = surface_energy(cell, ginf, u_try, v_try)

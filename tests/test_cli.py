@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -394,3 +399,38 @@ class TestMain:
         assert [row.split(",")[3] for row in results] == ["5", "6"]
         diagnostics = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
         assert diagnostics and {row.split(",")[3] for row in diagnostics} == {"5", "6"}
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("via", ["key", "flag"])
+    def test_unusable_tol_scale_leaves_no_output(self, tmp_path, capsys, value, via):
+        # a NaN tolerance loses every comparison, so a check would pass on its other terms
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("command = verify\n" + (f"tol_scale = {value}\n" if via == "key" else ""))
+        flag = ["--tol-scale=" + value] if via == "flag" else []
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *flag]) == 1
+        name = "tol_scale" if via == "key" else "--tol-scale"
+        error = f"{name!r} must be finite and positive, got {float(value)!r}"
+        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", [MINIMAL_FHOM, MINIMAL_MU, "command = verify\n"], ids=["fhom", "mu", "verify"])
+    def test_seed_override_needs_mc(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config + "seeds = 7,8,9\n")
+        command = parse_config(config).command
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed-override", "5"]) == 1
+        error = f"'--seed-override': command {command!r} reads no seeds"
+        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_import_pins_blas_threads_unless_set():
+    # a fresh interpreter, since numpy reads these variables when it loads
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    script = "import os, cellhom; print(' '.join(os.environ[k] for k in %r))" % (names,)
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    src = str(Path(cellhom.solvers.__file__).parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for preset, seen in (({}, "1"), (dict.fromkeys(names, "2"), "2")):
+        proc = subprocess.run([sys.executable, "-c", script], env={**env, **preset}, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.split() == [seen] * 3

@@ -76,30 +76,41 @@ def difference_matrix(cell):
     return sp.csr_matrix((vals, (rows, cols)), shape=(C * n, cell.num_nodes))
 
 
-def reference_newton_direction(cell, g, v, delta, u0):
-    """Newton direction of the smoothed u-objective from D^T H D, solved with scipy.sparse.
+def reference_newton_system(cell, g, v, delta, u0, q=None):
+    """Gradient and Hessian blocks D^T H D of the smoothed u-objective, assembled with scipy.sparse.
 
-    Component k solves its own diagonal Hessian block, with the 1e-14
-    floor on s = h^n w coeff p'(m)/m and the 1e-12 anchor of the u-step.
+    Per cell, H is s I + (t - s)(q r^T + r q^T)/2 with r = Du/m, the
+    primal-dual Hessian for a dual estimate q (cells, N, n); without
+    one, q = r and H is the primal Hessian.  Component k gets its own
+    diagonal block, with the 1e-14 floor on s = h^n w coeff p'(m)/m.
+    Returns the free-node gradient (nfree, N), the free-free blocks and
+    the 1e-12 anchor tau of the u-step.
     """
     n, h, N, C = cell.n, cell.h, u0.shape[-1], cell.num_cells
     D = difference_matrix(cell)
     Du = (D @ u0.reshape(-1, N)).reshape(C, n, N).transpose(0, 2, 1)
     m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta**2)
+    q = Du / m[:, None, None] if q is None else q
     hw = h**n * cell_average(cell, v.values).reshape(-1) ** 2 * g.coeff_cells(cell.cell_centers_global)
     s = hw * g.profile_deriv(m) / m
     grad = D.T @ (s[:, None, None] * Du).transpose(0, 2, 1).reshape(C * n, N)
     tau = 1e-12 * s.max() / h**2
     s = np.maximum(s, 1e-14 * s.max())
+    t = hw * g.profile_deriv2(m)
     free = np.flatnonzero(~cell.boundary_mask.reshape(-1))
-    out = np.empty((free.size, N))
+    blocks = []
     for k in range(N):
         r = Du[:, k, :] / m[:, None]
-        t = hw * g.profile_deriv2(m)
-        H = sp.block_diag([sc * (np.eye(n) - np.outer(rc, rc)) + tc * np.outer(rc, rc) for sc, tc, rc in zip(s, t, r)])
-        A = (D.T @ H @ D).tocsr()[free][:, free] + tau * sp.eye(free.size)
-        out[:, k] = spsolve(A.tocsc(), -grad[free, k])
-    return out
+        sym = [(np.outer(qc, rc) + np.outer(rc, qc)) / 2 for qc, rc in zip(q[:, k, :], r)]
+        H = sp.block_diag([sc * np.eye(n) + (tc - sc) * symc for sc, tc, symc in zip(s, t, sym)])
+        blocks.append((D.T @ H @ D).tocsr()[free][:, free])
+    return grad[free], blocks, tau
+
+
+def reference_newton_direction(cell, g, v, delta, u0):
+    """Primal Newton direction of the smoothed u-objective, solved with scipy.sparse, anchor included."""
+    grad, blocks, tau = reference_newton_system(cell, g, v, delta, u0)
+    return np.column_stack([spsolve((A + tau * sp.eye(A.shape[0])).tocsc(), -grad[:, k]) for k, A in enumerate(blocks)])
 
 
 def band_to_dense(op, store):
@@ -349,6 +360,13 @@ class TestSolveSurfaceCell:
         assert vector.energy_trace == scalar.energy_trace
         np.testing.assert_allclose(vector.u.values, scalar.u.values * zeta / np.linalg.norm(zeta), rtol=0, atol=1e-15)
 
+    def test_small_jump_converges(self):
+        # v barely dips, so the sweeps creep; the dual carried across
+        # sweeps and levels keeps each level within AM_MAX_ITERS
+        cell = make_cell((0.0, 0.0), 8.0, (0.0, 1.0), 1, 0.25)
+        res = solve_surface_cell(cell, laminate(1.0, 2.0).recession_integrand(), [0.2], (0.0, 1.0))
+        assert res.converged
+
     def test_exhausted_u_step_reports_unconverged(self, monkeypatch):
         # one smoothing level, whose sweeps meet their test even with
         # one-iteration u-steps; those u-steps ran out of their budget
@@ -374,7 +392,8 @@ class TestMinimizeUGivenV:
 
         def system(x):
             _, Du, m = objective(x)
-            grad, hess, _ = cellhom.solvers._newton_system(cell, g, coeff, weights, Du, m)
+            # q = r: the primal Hessian, which the differences of the gradient measure
+            grad, hess, _ = cellhom.solvers._newton_system(cell, g, coeff, weights, Du, m, Du / m[:, None, None])
             return grad.reshape(-1)[op.free], band_to_dense(op, op.assemble("hessian", hess[0]))
 
         def bumped(k, eps):
@@ -390,6 +409,48 @@ class TestMinimizeUGivenV:
         )
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-8 * np.abs(hess).max())
+
+    @pytest.mark.parametrize("g", [euclid(), area()], ids=["euclid", "area"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dual_hessian_matches_sparse_assembly(self, g, n, rng):
+        # N = n components; a random dual in the closed unit ball, on its
+        # sphere in every third cell
+        cell = make_cell((0.0,) * n, 2.0, np.eye(n)[-1], 1, 0.5 if n == 2 else 0.25)
+        op = cell.free_operator
+        v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
+        u = rng.standard_normal(cell.node_shape + (n,))
+        q = rng.standard_normal((cell.num_cells, n, n))
+        radius = rng.uniform(0.0, 1.0, size=cell.num_cells)
+        radius[::3] = 1.0
+        q *= (radius / np.linalg.norm(q, axis=(1, 2)))[:, None, None]
+        weights = cell_average(cell, v.values).reshape(-1) ** 2
+        coeff = g.coeff_cells(cell.cell_centers_global)
+        _, Du, m = cellhom.solvers._smoothed_objective(cell, g, coeff, weights, 0.3**2, u, n)
+        grad, hess, _ = cellhom.solvers._newton_system(cell, g, coeff, weights, Du, m, q)
+        ref_grad, blocks, _ = reference_newton_system(cell, g, v, 0.3, u, q)
+        np.testing.assert_allclose(grad.reshape(-1, n)[op.free], ref_grad, rtol=0, atol=1e-13 * np.abs(ref_grad).max())
+        for k, A in enumerate(blocks):
+            store = op.assemble("hessian", hess[k])
+            A = A.toarray()
+            np.testing.assert_allclose(band_to_dense(op, store), A, rtol=0, atol=1e-13 * np.abs(A).max())
+            # definite without the anchor: the banded Cholesky factorises it
+            rhs = rng.standard_normal((op.nfree, 1))
+            x = cellhom.solvers._solve_free(op, store, rhs.copy())
+            np.testing.assert_allclose(A @ x, rhs, rtol=0, atol=1e-9)
+
+    def test_dual_stays_in_unit_ball(self, rng):
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
+        bdata = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=4 * cell.h)
+        v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
+        dual = None
+        # the second u-step starts from the dual the first returned
+        for delta in (1e-2, 1e-4):
+            stats = {}
+            minimize_u_given_v(cell, euclid(), v, bdata, delta, stats=stats, dual=dual)
+            dual = stats["dual"]
+            assert stats["converged"] and stats["iterations"] >= 1
+            assert dual.shape == (cell.num_cells, 1, 2)
+            assert np.all(np.linalg.norm(dual, axis=(1, 2)) <= 1.0)
 
     def test_zero_weight_keeps_start(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
