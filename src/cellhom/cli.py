@@ -68,9 +68,6 @@ class RunConfig:
     route: str = "both"
     a_prime: tuple = ()  # ((lo, hi), ...)
     mc_quantity: str = "f_hom"
-    tol_scale: float = 1.0
-    include_routes: bool = False
-    include_process: bool = False
     out: str = "runs"
     format_version: int = REPORT_FORMAT_VERSION
     raw_text: str = ""
@@ -101,15 +98,6 @@ def _parse_intervals(text):
     return tuple(out)
 
 
-def _parse_flag(text):
-    value = text.lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
-
-
 # config key -> (RunConfig field, parser); a key whose field is a list
 # may repeat, and every occurrence is appended
 _CONFIG_KEYS = {
@@ -127,9 +115,6 @@ _CONFIG_KEYS = {
     "route": ("route", str),
     "a_prime": ("a_prime", _parse_intervals),
     "mc_quantity": ("mc_quantity", str),
-    "tol_scale": ("tol_scale", float),
-    "include_routes": ("include_routes", _parse_flag),
-    "include_process": ("include_process", _parse_flag),
     "out": ("out", str),
     "format_version": ("format_version", int),
 }
@@ -169,10 +154,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
-    # spacings, sizes, recession and tolerance scales no run can use
+    # spacings, sizes and recession scales no run can use
     for key, values in (("h", (cfg.h,)), ("r", cfg.r_values), ("t_schedule", cfg.t_schedule)):
         _require_positive(key, values)
-    _require_positive("tol_scale", (cfg.tol_scale,))
     if cfg.nu:
         try:
             rotation_for_normal(cfg.nu)
@@ -317,11 +301,7 @@ def run(config: RunConfig, out_dir=None) -> int:
                 subadditive_process_eval(model, zeta, config.nu, config.a_prime, config.h) for zeta in config.zeta
             ]
         if config.command == "verify":
-            checks = run_suite(
-                tol_scale=config.tol_scale,
-                include_routes=config.include_routes,
-                include_process=config.include_process,
-            )
+            checks = run_suite()
     except ValueError as exc:
         # config, domain, precondition and resolution errors all derive
         # from ValueError; report and exit as an operational failure
@@ -372,7 +352,6 @@ def run(config: RunConfig, out_dir=None) -> int:
         f"format_version={config.format_version}",
         f"cellhom_version={__version__}",
         f"seeds={','.join(str(s) for s in config.seeds)}",
-        f"tol_scale={_fmt(config.tol_scale)}",
     ]
     (out / "manifest").write_text("\n".join(manifest) + "\n")
 
@@ -395,8 +374,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to a key=value run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed-override", type=int, default=None, help="replace the seed list")
-    parser.add_argument("--tol-scale", type=float, default=None, help="scale verification tolerances")
     args = parser.parse_args(argv)
 
     try:
@@ -406,15 +383,6 @@ def main(argv=None) -> int:
         return 1
     try:
         config = parse_config(text)
-        if args.seed_override is not None:
-            if config.command != "mc":
-                raise ConfigError(f"'--seed-override': command {config.command!r} reads no seeds")
-            # rebase the seed list, preserving the ensemble size
-            config.seeds = tuple(args.seed_override + i for i in range(len(config.seeds)))
-            config.raw_text += f"\n# seed-override={args.seed_override}\n"
-        if args.tol_scale is not None:
-            _require_positive("--tol-scale", (args.tol_scale,))
-            config.tol_scale = args.tol_scale
     except ConfigError as exc:
         print(f"cellhom: config error: {exc}", file=sys.stderr)
         return 1

@@ -242,7 +242,8 @@ class FreeNodeOperator:
     sum_c w_c sum_a (x_{q_a(c)} - x_{p(c)})^2), and the corner ``mass``,
     sum_c m_c (sum of the 2^n corner values of c)^2.  Boundary nodes are
     fixed and both steps solve for free-node values only, so only the
-    free-free block is built.
+    free-free block is built.  ``laplacian`` is the ``hessian`` band under
+    weight 1 on every (a, a) row, assembled once, for the v-step to scale.
 
     Free nodes are numbered in the grid's C order, so the free-free block
     is a band whose half-width ``bw`` is the offset of a cell's diagonal
@@ -306,8 +307,9 @@ class FreeNodeOperator:
             # couplings to a fixed node go to the spare slot nslots
             used = sel.any(axis=1)
             self._band[t] = (np.where(sel, slot, self.nslots)[used].ravel(), coef[used], row[first][used])
-        self.free.setflags(write=False)
-        self.diag.setflags(write=False)
+        self.laplacian = self.assemble("hessian", np.eye(n).reshape(-1, 1).repeat(cell.num_cells, axis=1))
+        for arr in (self.free, self.diag, self.laplacian):
+            arr.setflags(write=False)
 
     def assemble(self, term, weights):
         """Band storage of a term's free-free block under cell weights.

@@ -226,16 +226,14 @@ def mc_expectation(
     return est
 
 
-def lattice_period(nu, cap: int = 64):
-    """Smallest positive integer M with M * R_nu an integer matrix."""
+def lattice_period(nu):
+    """Smallest positive integer M <= 64 with M * R_nu an integer matrix."""
     rot = rotation_for_normal(nu)
     R = rot.matrix
-    for M in range(1, cap + 1):
+    for M in range(1, 65):
         if np.max(np.abs(M * R - np.round(M * R))) < 1e-9:
             return M, rot
-    raise UnsupportedNormalError(
-        f"no integer multiple of the rotation for nu={np.asarray(nu)} within cap {cap}"
-    )
+    raise UnsupportedNormalError(f"no integer multiple of the rotation for nu={np.asarray(nu)} within cap 64")
 
 
 def subadditive_process_eval(
@@ -244,7 +242,6 @@ def subadditive_process_eval(
     nu,
     a_prime,
     h: float = 0.25,
-    cap: int = 64,
 ) -> HomEstimate:
     """Scaled interface minimum mu(A') on the lattice-compatible box of A'.
 
@@ -262,7 +259,7 @@ def subadditive_process_eval(
     pairs = [tuple(float(v) for v in p) for p in a_prime]
     if len(pairs) != n - 1 or any(b <= a for a, b in pairs):
         raise InputDomainError("a_prime must be n-1 nonempty half-open intervals")
-    M, _ = lattice_period(nu, cap)
+    M, _ = lattice_period(nu)
     c = 0.5 * max(b - a for a, b in pairs)
     lo = np.array([a for a, _ in pairs] + [-c]) * M
     hi = np.array([b for _, b in pairs] + [c]) * M

@@ -26,9 +26,10 @@ a flat u leaves v = 1 exactly; boundary nodes stay 1.
 Both steps solve for free-node values.  Each sums its cell weights into
 the free-free block of the cell's ``free_operator`` (see
 :class:`cellhom.geometry.FreeNodeOperator`) with ``np.bincount``, both
-building the Laplacian as its ``hessian`` term, and solves each system
-(the u-step: one per component) with one call of LAPACK's ``dpbsv``
-(banded Cholesky, ``dpbtrf`` then ``dpbtrs``).  A
+building the Laplacian from its ``hessian`` term (the v-step scales the
+operator's ``laplacian``, that term under unit weights, assembled once),
+and solves each system (the u-step: one per component) with one call of
+LAPACK's ``dpbsv`` (banded Cholesky, ``dpbtrf`` then ``dpbtrs``).  A
 factorisation that breaks down, or a phase solve with non-finite values,
 raises :class:`SolverBreakdown`.
 
@@ -287,10 +288,7 @@ def minimize_v_given_u(cell: CellDomain, ginf: Integrand, u: VectorField) -> Pha
     W = np.maximum(W, 0.0)
 
     op = cell.free_operator
-    lap = np.zeros((n * n, cell.num_cells))
-    lap[:: n + 1] = h ** (n - 2)
-    store = op.assemble("hessian", lap)
-    store += op.assemble("mass", hn * (W + 1.0) / 4**n)
+    store = h ** (n - 2) * op.laplacian + op.assemble("mass", hn * (W + 1.0) / 4**n)
     corners = cell.cell_corner_nodes
     grad = np.bincount(np.concatenate(corners), weights=np.tile(hn * W / 2**n, len(corners)), minlength=cell.num_nodes)
     vvals = np.ones(cell.num_nodes)

@@ -151,11 +151,14 @@ class TestCriterion6:
         checks = run_suite()
         failures = [c.name for c in checks if not c.passed]
         elapsed = time.time() - t0
-        ok = not failures and elapsed <= 600.0
+        names = [c.name for c in checks]
+        routes, process = names.count("recession-route-agreement"), names.count("interval-process")
+        ok = not failures and elapsed <= 600.0 and routes == 3 and process == 1
         _report(
             6,
             ok,
-            f"property suite: {len(checks)} checks, failures: {failures or 'none'}, {elapsed:.1f}s (limit 600s)",
+            f"property suite: {len(checks)} checks ({routes} recession-route, {process} interval-process), "
+            f"failures: {failures or 'none'}, {elapsed:.1f}s (limit 600s)",
         )
 
 

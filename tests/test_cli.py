@@ -59,17 +59,6 @@ class TestParseConfig:
         cfg = parse_config("# a comment\n\ncommand = fhom\nxi = 1,0  # trailing\nr = 4\n")
         assert cfg.command == "fhom"
 
-    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
-    def test_bad_flag_value(self, value):
-        with pytest.raises(ConfigError, match="line 6: cannot parse 'include_routes'"):
-            parse_config(MINIMAL_FHOM + f"include_routes = {value}\n")
-
-    @pytest.mark.parametrize(
-        "value, parsed", [("YES", True), ("True", True), ("1", True), ("No", False), ("FALSE", False), ("0", False)]
-    )
-    def test_flag_values(self, value, parsed):
-        assert parse_config(MINIMAL_FHOM + f"include_process = {value}\n").include_process is parsed
-
     def test_format_version_check(self):
         with pytest.raises(ConfigError, match="format version"):
             parse_config(MINIMAL_FHOM + "format_version = 99\n")
@@ -93,9 +82,6 @@ t_schedule = 4,16
 route = hom_of_recession
 a_prime = 0:1,2:3
 mc_quantity = g_hom
-tol_scale = 2.5
-include_routes = yes
-include_process = true
 out = runs/x
 format_version = 1
 """
@@ -106,8 +92,7 @@ format_version = 1
         assert cfg.nu == (0.6, 0.8) and cfg.r_values == (2.0, 4.0) and cfg.h == 0.5 and cfg.k == 3
         assert cfg.center == (0.5, 0.25) and cfg.seeds == (7, 8) and cfg.t_schedule == (4.0, 16.0)
         assert cfg.route == "hom_of_recession" and cfg.a_prime == ((0.0, 1.0), (2.0, 3.0))
-        assert cfg.mc_quantity == "g_hom" and cfg.tol_scale == 2.5
-        assert cfg.include_routes is True and cfg.include_process is True
+        assert cfg.mc_quantity == "g_hom"
         assert cfg.out == "runs/x" and cfg.format_version == 1
 
 
@@ -221,7 +206,7 @@ class TestVerifyCommand:
     def test_report_written_and_exit_zero(self, tmp_path, monkeypatch):
         import cellhom.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "run_suite", lambda **kw: self._fake_checks(True))
+        monkeypatch.setattr(cli_mod, "run_suite", lambda: self._fake_checks(True))
         cfg = parse_config("command = verify\n")
         assert run(cfg, out_dir=tmp_path / "out") == 0
         report = (tmp_path / "out" / "verify.report").read_text().splitlines()
@@ -231,7 +216,7 @@ class TestVerifyCommand:
     def test_failed_check_exit_two(self, tmp_path, monkeypatch):
         import cellhom.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "run_suite", lambda **kw: self._fake_checks(False))
+        monkeypatch.setattr(cli_mod, "run_suite", lambda: self._fake_checks(False))
         cfg = parse_config("command = verify\n")
         assert run(cfg, out_dir=tmp_path / "out") == 2
         assert "passed=False" in (tmp_path / "out" / "verify.report").read_text()
@@ -241,7 +226,7 @@ class TestVerifyCommand:
 
         import cellhom.cli as cli_mod
 
-        def fake(**kw):
+        def fake():
             alpha, beta = self._fake_checks(True)
             return [alpha, dataclasses.replace(beta, converged=False)]
 
@@ -251,22 +236,6 @@ class TestVerifyCommand:
         assert "one or more solves unconverged" in capsys.readouterr().err
         report = (tmp_path / "out" / "verify.report").read_text().splitlines()
         assert report[1].startswith("CHECK beta passed=True")
-
-    def test_tol_scale_forwarded(self, tmp_path, monkeypatch):
-        import cellhom.cli as cli_mod
-
-        seen = {}
-
-        def fake(**kw):
-            seen.update(kw)
-            return []
-
-        monkeypatch.setattr(cli_mod, "run_suite", fake)
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("command = verify\n")
-        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--tol-scale", "2.5"]) == 0
-        assert seen["tol_scale"] == 2.5
-        assert "tol_scale=2.5" in (tmp_path / "out" / "manifest").read_text().splitlines()
 
 
 class TestMain:
@@ -284,7 +253,8 @@ class TestMain:
         cfg_path.write_text("command = fhom\nfoo = 1\n")
         assert main(["--config", str(cfg_path)]) == 1
 
-    # the solver settings are constants of cellhom.solvers, not config keys
+    # the solver settings are constants of cellhom.solvers, and the verify
+    # suite's tolerances and checks are fixed; none is a config key
     @pytest.mark.parametrize(
         "line",
         [
@@ -294,6 +264,9 @@ class TestMain:
             "inner_tol = 1e-4",
             "u_max_iters = 9",
             "v_floor = 1.5",
+            "tol_scale = 2",
+            "include_routes = yes",
+            "include_process = 1",
         ],
     )
     def test_bad_solver_value_is_config_error(self, tmp_path, capsys, line):
@@ -386,41 +359,14 @@ class TestMain:
         cfg = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 1,2\nk = 2\n")
         assert cfg.k == 2
 
-    def test_seed_override_rebases_list(self, tmp_path):
+    @pytest.mark.parametrize("flag", [["--tol-scale", "2"], ["--seed-override", "5"]], ids=["tol-scale", "seed-override"])
+    def test_deleted_flag_is_usage_error(self, tmp_path, capsys, flag):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(
-            "command = mc\nintegrand = checkerboard:3,1,2\nmc_quantity = f_hom\nxi = 1,0\nr = 4\nseeds = 1,2\nh = 0.5\n"
-        )
-        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed-override", "5"])
-        assert code in (0, 2)  # 2 allowed: tiny cells may flag unconverged
-        manifest = (tmp_path / "out" / "manifest").read_text()
-        assert "seeds=5,6" in manifest
-        results = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[3] for row in results] == ["5", "6"]
-        diagnostics = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
-        assert diagnostics and {row.split(",")[3] for row in diagnostics} == {"5", "6"}
-
-    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
-    @pytest.mark.parametrize("via", ["key", "flag"])
-    def test_unusable_tol_scale_leaves_no_output(self, tmp_path, capsys, value, via):
-        # a NaN tolerance loses every comparison, so a check would pass on its other terms
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("command = verify\n" + (f"tol_scale = {value}\n" if via == "key" else ""))
-        flag = ["--tol-scale=" + value] if via == "flag" else []
-        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *flag]) == 1
-        name = "tol_scale" if via == "key" else "--tol-scale"
-        error = f"{name!r} must be finite and positive, got {float(value)!r}"
-        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("config", [MINIMAL_FHOM, MINIMAL_MU, "command = verify\n"], ids=["fhom", "mu", "verify"])
-    def test_seed_override_needs_mc(self, tmp_path, capsys, config):
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(config + "seeds = 7,8,9\n")
-        command = parse_config(config).command
-        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed-override", "5"]) == 1
-        error = f"'--seed-override': command {command!r} reads no seeds"
-        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        cfg_path.write_text("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 1,2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

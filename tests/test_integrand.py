@@ -118,10 +118,6 @@ class TestValidateAdmissibility:
         assert not report.passed
         assert max(report.recession_rate_margins.values()) > 0
 
-    def test_sample_counts_validated(self):
-        with pytest.raises(InputDomainError):
-            validate_admissibility(euclid(), {"num_x": 0})
-
 
 class TestCheckerboard:
     def test_degenerate_interval_is_base(self, rng):
