@@ -59,6 +59,23 @@ class TestParseConfig:
         cfg = parse_config("# a comment\n\ncommand = fhom\nxi = 1,0  # trailing\nr = 4\n")
         assert cfg.command == "fhom"
 
+    # include_routes and include_process are gone (run_suite always runs the
+    # route and process checks), so any value, well formed or not, is an unknown key
+    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+    def test_bad_flag_value(self, value):
+        with pytest.raises(ConfigError, match="line 6: unknown key 'include_routes'"):
+            parse_config(MINIMAL_FHOM + f"include_routes = {value}\n")
+
+    # the ids name the value each spelling parsed to before the key was deleted
+    @pytest.mark.parametrize(
+        "value",
+        ["YES", "True", "1", "No", "FALSE", "0"],
+        ids=["YES-True", "True-True", "1-True", "No-False", "FALSE-False", "0-False"],
+    )
+    def test_flag_values(self, value):
+        with pytest.raises(ConfigError, match="line 6: unknown key 'include_process'"):
+            parse_config(MINIMAL_FHOM + f"include_process = {value}\n")
+
     def test_format_version_check(self):
         with pytest.raises(ConfigError, match="format version"):
             parse_config(MINIMAL_FHOM + "format_version = 99\n")
@@ -237,6 +254,20 @@ class TestVerifyCommand:
         report = (tmp_path / "out" / "verify.report").read_text().splitlines()
         assert report[1].startswith("CHECK beta passed=True")
 
+    def test_tol_scale_forwarded(self, tmp_path, monkeypatch, capsys):
+        # the suite's tolerances are fixed: --tol-scale is a usage error and the suite never runs
+        import cellhom.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_suite", lambda: calls.append(1) or [])
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("command = verify\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--tol-scale", "2.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol-scale 2.5" in capsys.readouterr().err
+        assert not calls and not (tmp_path / "out").exists()
+
 
 class TestMain:
     def test_missing_config_file(self):
@@ -358,6 +389,54 @@ class TestMain:
     def test_mc_bulk_reads_k(self):
         cfg = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 1,2\nk = 2\n")
         assert cfg.k == 2
+
+    def test_seed_override_rebases_list(self, tmp_path, capsys):
+        # --seed-override is gone; the config's seeds list is the only way to rebase the seeds
+        cfg_path = tmp_path / "run.cfg"
+        cfg_text = "command = mc\nintegrand = checkerboard:3,1,2\nmc_quantity = f_hom\nxi = 1,0\nr = 4\nh = 0.5\n"
+        cfg_path.write_text(cfg_text + "seeds = 1,2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed-override", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed-override 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg_path.write_text(cfg_text + "seeds = 5,6\n")
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code in (0, 2)  # 2 allowed: tiny cells may flag unconverged
+        manifest = (tmp_path / "out" / "manifest").read_text()
+        assert "seeds=5,6" in manifest
+        results = (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in results] == ["5", "6"]
+        diagnostics = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert diagnostics and {row.split(",")[3] for row in diagnostics} == {"5", "6"}
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("via", ["key", "flag"])
+    def test_unusable_tol_scale_leaves_no_output(self, tmp_path, capsys, value, via):
+        # tol_scale is no longer settable, so no value (a NaN loses every comparison) reaches a check
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("command = verify\n" + (f"tol_scale = {value}\n" if via == "key" else ""))
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        if via == "key":
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "cellhom: config error: line 2: unknown key 'tol_scale'\n"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol-scale=" + value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --tol-scale={value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", [MINIMAL_FHOM, MINIMAL_MU, "command = verify\n"], ids=["fhom", "mu", "verify"])
+    def test_seed_override_needs_mc(self, tmp_path, capsys, config):
+        # the flag is deleted for every command, mc included (test_deleted_flag_is_usage_error)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config + "seeds = 7,8,9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed-override", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed-override 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [["--tol-scale", "2"], ["--seed-override", "5"]], ids=["tol-scale", "seed-override"])
     def test_deleted_flag_is_usage_error(self, tmp_path, capsys, flag):
