@@ -8,7 +8,7 @@ does not change under a rotation of the components, so a vector jump
 zeta is solved as the scalar cell of amplitude |zeta|.
 
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
-delta-smoothed surrogate, continued over a decreasing delta schedule.
+delta-smoothed surrogate, continued over three levels (1e-1, 1e-3, 1e-6).
 Every density has the form coeff(x) * profile(|xi|), and the step is a
 damped primal-dual Newton iteration on it (Chan, Golub and Mulet): each
 iteration solves the Hessian, with a dual estimate of Du/m that the cell
@@ -41,7 +41,7 @@ on its own.
 
 The solver settings are module constants, the same for every cell
 solve: ``DELTA_SCHEDULE`` (the strictly decreasing smoothing
-parameters), ``AM_MAX_ITERS`` (alternating sweeps per smoothing level),
+levels), ``AM_MAX_ITERS`` (alternating sweeps per smoothing level),
 ``AM_REL_TOL`` (the relative energy decrease that ends a level),
 ``INNER_TOL`` (the change over a full Newton step, relative to
 max(1, |objective|), that ends a u-step) and ``U_MAX_ITERS`` (Newton
@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 
-DELTA_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+DELTA_SCHEDULE = (1e-1, 1e-3, 1e-6)  # ending at 1e-6, not 1e-5, lowers every interface value
 AM_MAX_ITERS = 80
 AM_REL_TOL = 1e-7
 INNER_TOL = 1e-7

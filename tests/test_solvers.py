@@ -18,7 +18,7 @@ from cellhom.fields import (
     surface_energy,
 )
 from cellhom.geometry import make_cell
-from cellhom.integrand import InputDomainError, Integrand, area, euclid, laminate
+from cellhom.integrand import InputDomainError, Integrand, area, euclid, laminate, make_checkerboard
 from cellhom.solvers import (
     SolverBreakdown,
     minimize_u_given_v,
@@ -375,6 +375,47 @@ class TestSolveSurfaceCell:
         assert solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0)).converged
         monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
         assert not solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0)).converged
+
+
+FIVE_LEVELS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+
+
+class TestDeltaSchedule:
+    """The shipped smoothing schedule against the five-level one it replaced.
+
+    Every value is an upper bound of the discrete minimum, so the shorter
+    schedule must not raise any of them, and it must cost fewer solves.
+    """
+
+    @staticmethod
+    def _total_iterations(monkeypatch, solve_all):
+        shipped = solve_all()
+        monkeypatch.setattr(cellhom.solvers, "DELTA_SCHEDULE", FIVE_LEVELS)
+        five = solve_all()
+        for new, old in zip(shipped, five, strict=True):
+            assert new.converged and old.converged
+            assert new.value <= old.value
+        return sum(r.iterations for r in shipped), sum(r.iterations for r in five)
+
+    def test_interface_values_fall_in_fewer_sweeps(self, monkeypatch):
+        # the five criterion-1 cells and three 2D cells on a rational normal
+        line = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
+        plane = make_cell((0.0, 0.0), 8.0, (0.6, 0.8), 1, 0.25)
+        cases = [(line, s) for s in (0.5, 1.0, 2.0, 4.0, 8.0)] + [(plane, z) for z in (1.0, 1.5, 2.0)]
+
+        def solve_all():
+            return [solve_surface_cell(cell, euclid(), [z], cell.rotation.nu) for cell, z in cases]
+
+        sweeps, five_sweeps = self._total_iterations(monkeypatch, solve_all)
+        assert 1.5 * sweeps <= five_sweeps
+
+    def test_bulk_values_fall_in_fewer_newton_solves(self, monkeypatch):
+        cell = make_cell((0.0, 0.0), 8.0, (0.0, 1.0), 1, 0.25)
+        gs = [make_checkerboard(seed, 1.0, 2.0).realise() for seed in range(1, 9)]
+        solves, five_solves = self._total_iterations(
+            monkeypatch, lambda: [solve_bulk_cell(cell, g, [[1.0, 0.0]]) for g in gs]
+        )
+        assert solves < five_solves
 
 
 class TestMinimizeUGivenV:
