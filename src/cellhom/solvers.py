@@ -130,29 +130,34 @@ def _solve_free(op, store, rhs):
 # ----------------------------------------------------------------------
 
 
+def _sum_cells(x):
+    """Per-cell sum of x (cells, N, n): its N n columns added in turn, numpy's own order for N n < 8."""
+    cols = x.reshape(len(x), -1).T
+    return sum(cols[1:], cols[0])
+
+
 def _smoothed_objective(cell, g, coeff, weights, delta2, u_values, N):
     """Value of sum_c h^n w_c g_delta(y_c, Du_c), the gradients Du_c and the magnitudes m_c; delta2 = delta^2."""
     Du = cell_gradient(cell, u_values).reshape(cell.num_cells, N, cell.n)
-    m = np.sqrt(np.sum(Du**2, axis=(1, 2)) + delta2)
+    m = np.sqrt(_sum_cells(Du**2) + delta2)
     vals = coeff * np.asarray(g.profile(m), dtype=float)
-    return cell.h**cell.n * float(np.sum(weights * vals)), Du, m
+    return cell.h**cell.n * float((weights * vals).sum()), Du, m
 
 
-def _newton_system(cell, g, coeff, weights, Du, m, q):
+def _newton_system(cell, g, hw, Du, m, q):
     """Gradient and primal-dual Hessian of the smoothed objective at the cell gradients Du.
 
-    With s = h^n w coeff p'(m)/m the cell fluxes are s Du / h, and the
-    gradient (num_nodes, N) is their sum at the nodes of the forward
-    differences.  Per cell, with r = Du/m and t = h^n w coeff p''(m), the
+    With hw = h^n w coeff and s = hw p'(m)/m the cell fluxes are s Du / h,
+    and the gradient (num_nodes, N) is their sum at the nodes of the
+    forward differences.  Per cell, with r = Du/m and t = hw p''(m), the
     Hessian in xi = Du is s I + (t - s)(q r^T + r q^T)/2, with q the dual
     estimate of r (cells, N, n); q = r gives the primal Hessian, and
     |q| <= 1 keeps it SPD for every density here.  The diagonal block of
     each component, with s floored at 1e-14 of its largest value, gives
     the ``hessian`` template weights (N, n*n, cells) over h^2.  Also
-    returns the largest s / h^2.
+    returns the largest s / h^2 and r.
     """
     n, h = cell.n, cell.h
-    hw = h**n * weights * coeff
     s = hw * np.asarray(g.profile_deriv(m), dtype=float) / m
     flux = (s[:, None, None] * Du / h).reshape(cell.dims + Du.shape[1:])
     grad = np.zeros(cell.node_shape + Du.shape[1:2])
@@ -160,21 +165,28 @@ def _newton_system(cell, g, coeff, weights, Du, m, q):
     for a in range(n):
         grad[base[:a] + (slice(1, None),) + base[a + 1 :]] += flux[..., a]
         grad[base] -= flux[..., a]
-    smax = float(np.max(s))
+    smax = float(s.max())
     s = np.maximum(s, 1e-14 * smax)
-    t = hw * np.asarray(g.profile_deriv2(m), dtype=float)
+    half = (hw * np.asarray(g.profile_deriv2(m), dtype=float) - s) * 0.5
     r = Du / m[:, None, None]
-    qr = q[..., :, None] * r[..., None, :]
-    H = (t - s)[:, None, None, None] * 0.5 * (qr + qr.swapaxes(-1, -2)) + s[:, None, None, None] * np.eye(n)
-    return grad, H.reshape(m.size, -1, n * n).transpose(1, 2, 0) / h**2, smax / h**2
+    hess = np.empty((Du.shape[1], n * n, m.size))
+    for k in range(Du.shape[1]):
+        qk, rk = q[:, k], r[:, k]
+        for a in range(n):
+            # the pairs (a, b) and (b, a) take the same weight
+            for b in range(a, n):
+                w = half * (qk[:, a] * rk[:, b] + qk[:, b] * rk[:, a])
+                hess[k, a * n + b] = hess[k, b * n + a] = (w + s if a == b else w) / h**2
+    return grad, hess, smax / h**2, r
 
 
 def _ball_step(q, dq):
     """min(1, 0.99 x the largest step along dq that keeps every |q_c| <= 1)."""
-    a, b = np.sum(dq**2, axis=(1, 2)), np.sum(q * dq, axis=(1, 2))
-    c = np.minimum(np.sum(q**2, axis=(1, 2)) - 1.0, 0.0)
-    roots = (np.sqrt(b**2 - a * c) - b)[a > 0] / a[a > 0]
-    return min(1.0, 0.99 * float(np.min(roots, initial=np.inf)))
+    a, b = _sum_cells(dq**2), _sum_cells(q * dq)
+    c = np.minimum(_sum_cells(q**2) - 1.0, 0.0)
+    moving = a > 0
+    roots = (np.sqrt(b**2 - a * c) - b)[moving] / a[moving]
+    return min(1.0, 0.99 * float(roots.min(initial=np.inf)))
 
 
 def minimize_u_given_v(
@@ -217,6 +229,7 @@ def minimize_u_given_v(
     op = cell.free_operator
     weights = cell_average(cell, v.values).reshape(-1) ** 2
     coeff = g.coeff_cells(cell.cell_centers_global)
+    hw = cell.h**cell.n * weights * coeff
     bmask = cell.boundary_mask
 
     u = (start.values if start is not None else boundary.values).copy()
@@ -227,7 +240,7 @@ def minimize_u_given_v(
     it = 0
     converged = stalled = False
     while it < U_MAX_ITERS and not (converged or stalled):
-        grad, hess, scale = _newton_system(cell, g, coeff, weights, Du, m, q)
+        grad, hess, scale, r = _newton_system(cell, g, hw, Du, m, q)
         grad = grad.reshape(-1, N)[op.free]
         if not scale > 0.0:
             # no weight anywhere leaves nothing to minimise; NaN is a stall
@@ -240,17 +253,18 @@ def minimize_u_given_v(
             store = op.assemble("hessian", hess[k])
             store[op.diag] += 1e-12 * scale
             d[:, k] = _solve_free(op, store, -grad[:, k : k + 1])[:, 0]
-        slope = float(np.sum(grad * d))
+        slope = float((grad * d).sum())
+        d_full = np.zeros_like(u)
+        d_full.reshape(-1, N)[op.free] = d
         # Armijo backtracking; the stop test reads the full step only
         for halvings in range(31):
             step = 0.5**halvings
-            u_try = u.copy()
-            u_try.reshape(-1, N)[op.free] += step * d
+            u_try = u + step * d_full
             E_try, Du_try, m_try = _smoothed_objective(cell, g, coeff, weights, delta**2, u_try, N)
             converged = halvings == 0 and abs(E - E_try) <= INNER_TOL * max(1.0, abs(E))
             if E_try <= E + 1e-4 * step * slope or (converged and E_try <= E):
-                r, dxi = Du / m[:, None, None], Du_try - Du
-                dq = (dxi - q * np.sum(r * dxi, axis=(1, 2))[:, None, None]) / m[:, None, None] - (q - r)
+                dxi = Du_try - Du
+                dq = (dxi - q * _sum_cells(r * dxi)[:, None, None]) / m[:, None, None] - (q - r)
                 q = q + _ball_step(q, dq) * dq
                 u, E, Du, m = u_try, E_try, Du_try, m_try
                 break

@@ -434,7 +434,7 @@ class TestMinimizeUGivenV:
         def system(x):
             _, Du, m = objective(x)
             # q = r: the primal Hessian, which the differences of the gradient measure
-            grad, hess, _ = cellhom.solvers._newton_system(cell, g, coeff, weights, Du, m, Du / m[:, None, None])
+            grad, hess, *_ = cellhom.solvers._newton_system(cell, g, cell.h**n * weights * coeff, Du, m, Du / m[:, None, None])
             return grad.reshape(-1)[op.free], band_to_dense(op, op.assemble("hessian", hess[0]))
 
         def bumped(k, eps):
@@ -467,7 +467,7 @@ class TestMinimizeUGivenV:
         weights = cell_average(cell, v.values).reshape(-1) ** 2
         coeff = g.coeff_cells(cell.cell_centers_global)
         _, Du, m = cellhom.solvers._smoothed_objective(cell, g, coeff, weights, 0.3**2, u, n)
-        grad, hess, _ = cellhom.solvers._newton_system(cell, g, coeff, weights, Du, m, q)
+        grad, hess, *_ = cellhom.solvers._newton_system(cell, g, cell.h**n * weights * coeff, Du, m, q)
         ref_grad, blocks, _ = reference_newton_system(cell, g, v, 0.3, u, q)
         np.testing.assert_allclose(grad.reshape(-1, n)[op.free], ref_grad, rtol=0, atol=1e-13 * np.abs(ref_grad).max())
         for k, A in enumerate(blocks):
