@@ -11,11 +11,11 @@ Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over three levels (1e-1, 1e-3, 1e-6).
 Every density has the form coeff(x) * profile(|xi|), and the step is a
 damped primal-dual Newton iteration on it (Chan, Golub and Mulet): each
-iteration solves the Hessian, with a dual estimate of Du/m that the cell
-solvers carry across delta levels and sweeps (for N >= 2, each
-component's diagonal block), and halves the step until the Armijo
-condition holds, so the surrogate energy cannot increase; a failed line
-search or a non-finite system ends the iteration as stalled.  Reported
+iteration solves the Hessian, with a dual estimate of Du/m that starts
+at 0 and that the cell solvers carry across delta levels and sweeps (for
+N >= 2, each component's diagonal block), and halves the step until the
+Armijo condition holds, so the surrogate energy cannot increase; a failed
+line search or a non-finite system ends the iteration as stalled.  Reported
 energies are always evaluated with the unsmoothed density, so every
 returned value is a true upper bound of the discrete minimum.
 
@@ -212,10 +212,11 @@ def minimize_u_given_v(
     most 30 times) until the Armijo condition (c = 1e-4) holds, so the
     energy never increases.  An accepted change dxi of Du moves q by the
     linearisation of q m = Du, dq = (dxi - q <r, dxi>)/m - (q - r), scaled
-    by ``_ball_step``.  ``dual`` starts q; without it q = r, the primal
-    Newton step.  A vanishing Tikhonov anchor tau on the diagonal keeps
-    the system definite where the weight vanishes and makes the flat-region
-    tie-break deterministic (the previous iterate survives there).
+    by ``_ball_step``.  ``dual`` starts q; without it q starts at 0, so
+    the first step is the lagged-diffusivity step s I.  A vanishing
+    Tikhonov anchor tau on the diagonal keeps the system definite where
+    the weight vanishes and makes the flat-region tie-break deterministic
+    (the previous iterate survives there).
 
     Stops when a full step changes the objective by at most ``INNER_TOL``
     times max(1, |objective|) (converged), and on a non-finite system or
@@ -235,7 +236,7 @@ def minimize_u_given_v(
     u = (start.values if start is not None else boundary.values).copy()
     u[bmask] = boundary.values[bmask]
     E, Du, m = _smoothed_objective(cell, g, coeff, weights, delta**2, u, N)
-    q = Du / m[:, None, None] if dual is None else dual
+    q = np.zeros_like(Du) if dual is None else dual
 
     it = 0
     converged = stalled = False

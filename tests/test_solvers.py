@@ -107,9 +107,12 @@ def reference_newton_system(cell, g, v, delta, u0, q=None):
     return grad[free], blocks, tau
 
 
-def reference_newton_direction(cell, g, v, delta, u0):
-    """Primal Newton direction of the smoothed u-objective, solved with scipy.sparse, anchor included."""
-    grad, blocks, tau = reference_newton_system(cell, g, v, delta, u0)
+def reference_newton_direction(cell, g, v, delta, u0, q=None):
+    """Newton direction of the smoothed u-objective for the dual q (the primal one without q).
+
+    Solved with scipy.sparse, anchor included.
+    """
+    grad, blocks, tau = reference_newton_system(cell, g, v, delta, u0, q)
     return np.column_stack([spsolve((A + tau * sp.eye(A.shape[0])).tocsc(), -grad[:, k]) for k, A in enumerate(blocks)])
 
 
@@ -193,13 +196,20 @@ EQUIVALENCE_CELLS = {
 class TestFreeNodeOperator:
     """Both steps against a scipy.sparse assembly of the same systems."""
 
-    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
-    def test_newton_direction_matches_sparse_solve(self, name, rng, monkeypatch):
+    @staticmethod
+    def _first_direction(name, rng, monkeypatch, primal):
+        """The u-step's first direction from a random start, and its scipy.sparse reference.
+
+        ``primal`` passes the dual Du/m of the start, which gives the
+        primal Newton direction; otherwise no dual is passed, so q = 0.
+        """
         cell, zeta = EQUIVALENCE_CELLS[name]
         bdata = jump_datum(cell, zeta, cell.rotation.nu, eps_width=4 * cell.h)
         v = PhaseField(cell, rng.uniform(0.2, 1.0, size=cell.node_shape))
         start = bdata.values + 0.3 * rng.standard_normal(bdata.values.shape)
         start[cell.boundary_mask] = bdata.values[cell.boundary_mask]
+        Du = cell_gradient(cell, start).reshape(cell.num_cells, bdata.N, cell.n)
+        q = Du / np.sqrt(np.sum(Du**2, axis=(1, 2)) + 1e-1**2)[:, None, None] if primal else np.zeros_like(Du)
         # the direction is what the factorised Hessian returns
         solve, directions = cellhom.solvers._solve_free, []
 
@@ -210,13 +220,25 @@ class TestFreeNodeOperator:
         monkeypatch.setattr(cellhom.solvers, "_solve_free", capture)
         monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
         stats = {}
-        # at delta = 0.1 these Hessians have condition numbers up to about
-        # 2e5 (the 1D cell), so two direct solves agree to 1e-12
-        minimize_u_given_v(cell, euclid(), v, bdata, 1e-1, start=VectorField(cell, start), stats=stats)
+        minimize_u_given_v(
+            cell, euclid(), v, bdata, 1e-1, start=VectorField(cell, start), stats=stats, dual=q if primal else None
+        )
         assert stats["iterations"] == 1 and not stats["stalled"]
         assert len(directions) == bdata.N
-        reference = reference_newton_direction(cell, euclid(), v, 1e-1, start)
-        assert relative_gap(np.hstack(directions), reference) <= 1e-12
+        return np.hstack(directions), reference_newton_direction(cell, euclid(), v, 1e-1, start, q)
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
+    def test_newton_direction_matches_sparse_solve(self, name, rng, monkeypatch):
+        # at delta = 0.1 these Hessians have condition numbers up to about
+        # 2e5 (the 1D cell), so two direct solves agree to 1e-12
+        direction, reference = self._first_direction(name, rng, monkeypatch, primal=True)
+        assert relative_gap(direction, reference) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
+    def test_zero_dual_direction_matches_sparse_solve(self, name, rng, monkeypatch):
+        # without a dual the first step is the lagged-diffusivity step, Hessian s I
+        direction, reference = self._first_direction(name, rng, monkeypatch, primal=False)
+        assert relative_gap(direction, reference) <= 1e-12
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CELLS))
     def test_v_step_matches_sparse_reference(self, name, rng):
