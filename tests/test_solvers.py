@@ -440,6 +440,65 @@ class TestDeltaSchedule:
         assert solves < five_solves
 
 
+class TestNewtonCount:
+    def test_criterion1_cells_take_at_most_160_newton_solves(self, monkeypatch):
+        # the five criterion-1 cells; 178 solves when a cell's first u-step
+        # started from the primal dual q = Du/m
+        u_step, solves = cellhom.solvers.minimize_u_given_v, []
+
+        def counted(*args, **kwargs):
+            out = u_step(*args, **kwargs)
+            solves.append(kwargs["stats"]["iterations"])
+            return out
+
+        monkeypatch.setattr(cellhom.solvers, "minimize_u_given_v", counted)
+        line = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
+        results = [solve_surface_cell(line, euclid(), [s], (1.0,)) for s in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        assert all(r.converged for r in results)
+        assert sum(solves) <= 160
+
+
+class TestTracedNames:
+    """The names a call tracer rebinds in ``cellhom.solvers`` stay on the solvers' call path.
+
+    A tracer that wraps these module attributes counts each layer's work;
+    a refactor that calls around one would silently zero its count.
+    """
+
+    BOUND = (
+        "minimize_u_given_v",
+        "minimize_v_given_u",
+        "bulk_energy",
+        "surface_energy",
+        "cell_gradient",
+        "cell_average",
+        "spsolve",
+    )
+    WRAPPED = ("cell_gradient", "cell_average", "minimize_v_given_u", "bulk_energy", "surface_energy", "dpbsv")
+
+    def test_bulk_and_interface_solves_reach_every_wrapped_name(self, monkeypatch):
+        for name in self.BOUND:
+            assert callable(getattr(cellhom.solvers, name)), name
+        calls = dict.fromkeys(self.WRAPPED, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.WRAPPED:
+            monkeypatch.setattr(cellhom.solvers, name, counting(name, getattr(cellhom.solvers, name)))
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
+        solve_bulk_cell(cell, make_checkerboard(1, 1.0, 2.0).realise(), [[1.0, 0.0]])
+        bulk = dict(calls)
+        calls.update(dict.fromkeys(self.WRAPPED, 0))
+        solve_surface_cell(cell, euclid(), [1.0], cell.rotation.nu)
+        assert {name for name, count in bulk.items() if count == 0} == {"minimize_v_given_u", "surface_energy"}
+        assert {name for name, count in calls.items() if count == 0} == {"bulk_energy"}
+
+
 class TestMinimizeUGivenV:
     @pytest.mark.parametrize("g", [euclid(), area()], ids=["euclid", "area"])
     @pytest.mark.parametrize("n", [1, 2])
