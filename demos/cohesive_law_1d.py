@@ -22,7 +22,7 @@ print(f"1D cohesive law on a cell of side {R:g} with spacing {H:g}")
 print(f"{'s':>6} {'estimate':>10} {'2s/(s+2)':>10} {'rel err':>9} {'sweeps':>7}")
 for s in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
     cell = make_cell(center=(0.0,), side=R, nu=(1.0,), k=1, h=H)
-    res = solve_surface_cell(cell, euclid(), zeta=[s], nu=(1.0,))
+    res = solve_surface_cell(cell, euclid(), zeta=[s])
     target = 2.0 * s / (s + 2.0)
     rel = (res.value - target) / target
     print(f"{s:6.2f} {res.value:10.5f} {target:10.5f} {rel:+9.3%} {res.iterations:7d}")

@@ -22,7 +22,7 @@ R, H = 8.0, 0.25
 angles = np.linspace(0.1, np.pi - 0.1, 7)
 
 iso = euclid()
-layered = laminate(1.0, 2.0)  # 1-homogeneous: usable as a surface density
+layered = laminate(1.0, 2.0)  # the cells integrate its recession, which is itself
 
 print(f"surface density estimates at r = {R:g}, h = {H:g}, jump amplitude 1")
 print(f"{'angle/pi':>9} {'nu':>16} {'isotropic':>10} {'layered':>10}")

@@ -120,9 +120,10 @@ _CONFIG_KEYS = {
 }
 
 
-def _require_positive(key, values):
-    if bad := [x for x in values if not (np.isfinite(x) and x > 0)]:
-        raise ConfigError(f"{key!r} must be finite and positive, got {bad[0]!r}")
+def _require_finite(key, values, positive=False):
+    flat = [float(x) for v in values for x in np.ravel(v)]
+    if bad := [x for x in flat if not (np.isfinite(x) and (x > 0 or not positive))]:
+        raise ConfigError(f"{key!r} must be finite{' and positive' if positive else ''}, got {bad[0]!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -154,9 +155,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
-    # spacings, sizes and recession scales no run can use
+    # spacings, sizes and recession scales no run can use, and non-finite
+    # gradients, jumps, blow-up points and intervals
     for key, values in (("h", (cfg.h,)), ("r", cfg.r_values), ("t_schedule", cfg.t_schedule)):
-        _require_positive(key, values)
+        _require_finite(key, values, positive=True)
+    for key in ("xi", "zeta", "center", "a_prime"):
+        _require_finite(key, getattr(cfg, key))
     if cfg.nu:
         try:
             rotation_for_normal(cfg.nu)
@@ -196,14 +200,6 @@ def parse_config(text: str) -> RunConfig:
 # ----------------------------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
-        return repr(float(x))
-    return str(x)
-
-
 def _arg_str(argument):
     parts = []
     for a in argument:
@@ -239,12 +235,12 @@ def _summary_row(est: HomEstimate):
             est.quantity,
             _arg_str(est.argument),
             est.route or "",
-            "[" + " ".join(_fmt(float(r)) for r in est.r_values) + "]",
-            _fmt(float(est.extrapolated)),
-            _fmt(float(est.cauchy_gap)),
-            _fmt(float(ens["mean"])) if ens else "",
-            _fmt(float(ens["std"])) if ens else "",
-            _fmt(float(ens["halfwidth95"])) if ens else "",
+            "[" + " ".join(repr(float(r)) for r in est.r_values) + "]",
+            repr(float(est.extrapolated)),
+            repr(float(est.cauchy_gap)),
+            repr(float(ens["mean"])) if ens else "",
+            repr(float(ens["std"])) if ens else "",
+            repr(float(ens["halfwidth95"])) if ens else "",
             "|".join(est.warnings),
         ]
     )
@@ -287,8 +283,7 @@ def run(config: RunConfig, out_dir=None) -> int:
             for route in routes:
                 estimates += [estimate_f_inf_hom(g, xi, route, sched, config.t_schedule) for xi in config.xi]
         if config.command in ("ghom", "sweep"):
-            ginf = g.recession_integrand()
-            estimates += [estimate_g_hom(ginf, z, config.nu, sched) for z in config.zeta]
+            estimates += [estimate_g_hom(g, z, config.nu, sched) for z in config.zeta]
         if config.command == "mc":
             arguments = config.xi if config.mc_quantity == "f_hom" else [(z, config.nu) for z in config.zeta]
             estimates += [
@@ -321,12 +316,12 @@ def run(config: RunConfig, out_dir=None) -> int:
     for est in estimates:
         arg = _arg_str(est.argument)
         for r, seed, scaled, res in _solves(est):
-            head = f"{est.quantity},{arg},{_fmt(float(r))},{seed}"
+            head = f"{est.quantity},{arg},{float(r)!r},{seed}"
             results_lines.append(
-                f"{head},{_fmt(float(scaled))},{_fmt(float(res.value))},"
+                f"{head},{float(scaled)!r},{float(res.value)!r},"
                 f"{res.iterations},{res.converged},{len(res.energy_trace)}"
             )
-            diag_lines.extend(f"{head},{step},{_fmt(float(e))}" for step, e in enumerate(res.energy_trace))
+            diag_lines.extend(f"{head},{step},{float(e)!r}" for step, e in enumerate(res.energy_trace))
         summary_lines.append(_summary_row(est))
     (out / "results.csv").write_text("\n".join(results_lines) + "\n")
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n")
@@ -336,8 +331,8 @@ def run(config: RunConfig, out_dir=None) -> int:
         lines = []
         for c in checks:
             lines.append(
-                f"CHECK {c.name} passed={c.passed} margin={_fmt(c.margin)} "
-                f"tolerance={_fmt(c.tolerance)} provenance={c.provenance}"
+                f"CHECK {c.name} passed={c.passed} margin={c.margin!r} "
+                f"tolerance={c.tolerance!r} provenance={c.provenance}"
             )
         (out / "verify.report").write_text("\n".join(lines) + "\n")
         width = max((len(c.name) for c in checks), default=4)

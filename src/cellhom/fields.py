@@ -10,9 +10,10 @@ evaluation is bit-stable.
 Two energies are provided, each returned as its total:
 
 * ``bulk_energy``        sum_c  h^n f(y_c, Du_c)
-* ``surface_energy``     sum_c  h^n ( vbar_c^2 f_inf(y_c, Du_c) + (1 - vbar_c)^2 + |Dv_c|^2 )
+* ``surface_energy``     sum_c  h^n ( vbar_c^2 f(y_c, Du_c) + (1 - vbar_c)^2 + |Dv_c|^2 )
 
-with the spatial argument evaluated at physical cell centres.
+with the spatial argument evaluated at physical cell centres; the
+interface solver calls ``surface_energy`` with the recession f_inf.
 """
 
 from __future__ import annotations
@@ -155,18 +156,17 @@ def bulk_energy(cell: CellDomain, g: Integrand, u: VectorField) -> float:
     return float(cell.h**cell.n * np.sum(vals))
 
 
-def surface_energy(cell: CellDomain, ginf: Integrand, u: VectorField, v: PhaseField) -> float:
-    """The interface energy with a 1-homogeneous density.
+def surface_energy(cell: CellDomain, g: Integrand, u: VectorField, v: PhaseField) -> float:
+    """The interface energy with the density g it is given.
 
-    The sum of the vbar^2-weighted bulk part, the (1 - vbar)^2 fidelity
-    and the |Dv|^2 penalty, all at unit coefficients.
+    The sum of the vbar^2-weighted integral of g, the (1 - vbar)^2
+    fidelity and the |Dv|^2 penalty, all at unit coefficients; the
+    interface solver passes the recession density.
     """
-    if not ginf.is_positively_homogeneous:
-        raise PreconditionError(f"surface energy needs a 1-homogeneous density, got {ginf.id!r}")
     if u.cell is not cell or v.cell is not cell:
         raise PreconditionError("fields do not live on the given cell")
     Du = cell_gradient(cell, u.values).reshape(cell.num_cells, u.N, cell.n)
-    W = ginf.eval_cells(cell.cell_centers_global, Du)
+    W = g.eval_cells(cell.cell_centers_global, Du)
     vbar = cell_average(cell, v.values).reshape(-1)
     Dv = cell_gradient(cell, v.values).reshape(cell.num_cells, cell.n)
     hn = cell.h**cell.n

@@ -162,15 +162,15 @@ def estimate_f_inf_hom(
     raise InputDomainError(f"unknown route {route!r}")
 
 
-def estimate_g_hom(ginf: Integrand, zeta, nu, schedule: Schedule) -> HomEstimate:
-    """Scaled interface minima m_s(jump, Q^nu_r(r x)) / cross-section."""
+def estimate_g_hom(g: Integrand, zeta, nu, schedule: Schedule) -> HomEstimate:
+    """Scaled interface minima m_s(jump, Q^nu_r(r x)) / cross-section of the recession of g."""
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
     sched = Schedule(schedule.r_values, schedule.h, 1, schedule.center, tuple(nu))
     results, scaled = [], []
     for r in sched.r_values:
         cell = sched.cell(r, nu.shape[0])
-        res = solve_surface_cell(cell, ginf, zeta, nu)
+        res = solve_surface_cell(cell, g, zeta)
         results.append(res)
         scaled.append(res.value / cell.cross_section)
     return HomEstimate.from_runs("g_hom", (zeta.copy(), nu.copy()), sched.r_values, scaled, results)
@@ -188,7 +188,7 @@ def mc_expectation(
     """Ensemble of scaled cell values over seed-indexed realisations.
 
     ``quantity`` is ``"f_hom"`` (argument xi) or ``"g_hom"`` (argument
-    (zeta, nu), solved with the recession of the realised density).
+    (zeta, nu), whose cells see the recession of the realised density).
     Reports per-seed values, mean, sample standard deviation and a
     normal-approximation 95 percent half-width; the across-seed spread is
     the ergodicity diagnostic and should shrink as r grows.
@@ -206,7 +206,7 @@ def mc_expectation(
         elif quantity == "g_hom":
             zeta, nu = argument
             sched = Schedule((r,), h, 1, None, tuple(np.asarray(nu, dtype=float)))
-            est = estimate_g_hom(realisation.realise().recession_integrand(), zeta, nu, sched)
+            est = estimate_g_hom(realisation.realise(), zeta, nu, sched)
         else:
             raise InputDomainError(f"unknown Monte Carlo quantity {quantity!r}")
         values.append(est.extrapolated)
@@ -264,5 +264,5 @@ def subadditive_process_eval(
     lo = np.array([a for a, _ in pairs] + [-c]) * M
     hi = np.array([b for _, b in pairs] + [c]) * M
     cell = make_box_cell(nu, lo, hi, h)
-    res = solve_surface_cell(cell, model.realise().recession_integrand(), zeta, nu, datum_width=1.0)
+    res = solve_surface_cell(cell, model.realise(), zeta, datum_width=1.0)
     return HomEstimate.from_runs("mu", (zeta.copy(), nu.copy()), (0.0,), [res.value / M ** (n - 1)], [res])

@@ -56,6 +56,15 @@ def _frob(xis):
     return np.sqrt(np.sum(np.asarray(xis, dtype=float) ** 2, axis=(-2, -1)))
 
 
+def _linear(k):
+    """The profile k * s with its two derivatives, as ``Integrand`` keywords."""
+    return dict(
+        profile=lambda s: k * np.asarray(s, dtype=float),
+        profile_deriv=lambda s: np.full_like(np.asarray(s, dtype=float), k),
+        profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+    )
+
+
 @dataclass(frozen=True)
 class Integrand:
     """An energy density coeff(x) * profile(|xi|) with declared growth constants.
@@ -92,7 +101,6 @@ class Integrand:
     profile_deriv2: Callable
     recession_slope: float
     coeff: Optional[Callable] = None
-    is_positively_homogeneous: bool = False
 
     def __post_init__(self):
         # C > 0 is structural; whether the declared C actually bounds the
@@ -125,14 +133,7 @@ class Integrand:
 
     def recession_integrand(self):
         """The recession density as a standalone 1-homogeneous integrand."""
-        return replace(
-            self,
-            id=f"recession({self.id})",
-            profile=lambda s, k=self.recession_slope: k * s,
-            profile_deriv=lambda s, k=self.recession_slope: np.full_like(np.asarray(s, dtype=float), k),
-            profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            is_positively_homogeneous=True,
-        )
+        return replace(self, id=f"recession({self.id})", **_linear(self.recession_slope))
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +320,8 @@ def euclid() -> Integrand:
         id="euclid",
         C=1.0,
         alpha=0.5,
-        profile=lambda s: np.asarray(s, dtype=float),
-        profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         recession_slope=1.0,
-        is_positively_homogeneous=True,
+        **_linear(1.0),
     )
 
 
@@ -337,7 +335,6 @@ def area() -> Integrand:
         profile_deriv=lambda s: np.asarray(s, dtype=float) / np.sqrt(1.0 + np.asarray(s, dtype=float) ** 2),
         profile_deriv2=lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** -1.5,
         recession_slope=1.0,
-        is_positively_homogeneous=False,
     )
 
 
@@ -361,11 +358,8 @@ def laminate(a_soft=1.0, a_hard=2.0, segment=1.0, axis=0) -> Integrand:
         C=C,
         alpha=0.5,
         coeff=coeff,
-        profile=lambda s: np.asarray(s, dtype=float),
-        profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         recession_slope=1.0,
-        is_positively_homogeneous=True,
+        **_linear(1.0),
     )
 
 

@@ -3,9 +3,11 @@
 The bulk problem minimises the linear-growth energy over deformations
 pinned to an affine datum on the whole boundary; the interface problem
 minimises the phase-field surface energy over pairs (u, v) pinned to a
-smoothed jump and v = 1 on the boundary.  Its density coeff * k * |xi|
-does not change under a rotation of the components, so a vector jump
-zeta is solved as the scalar cell of amplitude |zeta|.
+smoothed jump across the plane normal to the cell's own normal and
+v = 1 on the boundary.  The interface solver takes the bulk density and
+forms its recession coeff * k * |xi|, the only part a jump sees; that
+density does not change under a rotation of the components, so a
+vector jump zeta is solved as the scalar cell of amplitude |zeta|.
 
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
 delta-smoothed surrogate, continued over three levels (1e-1, 1e-3, 1e-6).
@@ -372,35 +374,26 @@ def _seeded_phase(cell):
     return PhaseField(cell, v)
 
 
-def solve_surface_cell(
-    cell: CellDomain,
-    ginf: Integrand,
-    zeta,
-    nu,
-    datum_width: float | None = None,
-) -> CellResult:
-    """Alternating minimisation of the interface cell problem.
+def solve_surface_cell(cell: CellDomain, g: Integrand, zeta, *, datum_width: float | None = None) -> CellResult:
+    """Alternating minimisation of the interface cell problem of the density g.
 
+    The blow-up at a jump sees only the recession ginf of g, so both
+    steps and the reported energy use ginf, formed here from g.
     Boundary datum: smoothed jump of amplitude zeta across the plane
-    through the cell centre normal to nu (ramp width ``datum_width``,
-    default 4h), with v = 1 on the boundary.  Starts from the datum pair
-    with a seeded phase dip on the jump plane; the returned value is the
-    unsmoothed surface energy of the best pair and never exceeds the
-    energy of the initial pair.
+    through the cell centre normal to the cell's ``rotation.nu`` (ramp
+    width ``datum_width``, default 4h), with v = 1 on the boundary.
+    Starts from the datum pair with a seeded phase dip on the jump
+    plane; the returned value is the unsmoothed surface energy of the
+    best pair and never exceeds the energy of the initial pair.
     """
-    if not ginf.is_positively_homogeneous:
-        raise PreconditionError(f"surface solve needs a 1-homogeneous density, got {ginf.id!r}")
-    nu = np.asarray(nu, dtype=float).reshape(-1)
-    if np.linalg.norm(nu - cell.rotation.nu) > 1e-8:
-        raise PreconditionError("normal does not match the cell rotation")
-
+    ginf = g.recession_integrand()
     # coeff * k * |xi| does not change under a rotation of the components,
     # and a component normal to zeta only adds energy: solve the scalar
     # cell of amplitude |zeta| and point its field along zeta
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     amplitude = float(np.linalg.norm(zeta))
     width = 4.0 * cell.h if datum_width is None else float(datum_width)
-    bdata = jump_datum(cell, [amplitude], nu, eps_width=width)
+    bdata = jump_datum(cell, [amplitude], cell.rotation.nu, eps_width=width)
     u_run = bdata.copy()
     v_run = _seeded_phase(cell)
     best_u, best_v = u_run, v_run

@@ -46,7 +46,7 @@ class TestCriterion1:
         worst = 0.0
         for s in (0.5, 1.0, 2.0, 4.0, 8.0):
             cell = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
-            res = solve_surface_cell(cell, euclid(), [s], (1.0,))
+            res = solve_surface_cell(cell, euclid(), [s])
             _collect([res])
             target = 2.0 * s / (s + 2.0)
             worst = max(worst, abs(res.value - target) / target)
@@ -61,7 +61,7 @@ class TestCriterion2:
         scaled = []
         for r in (8.0, 16.0):
             cell = make_cell((0.0, 0.0), r, E2, 1, 0.25)
-            res = solve_surface_cell(cell, euclid(), [1.0], E2)
+            res = solve_surface_cell(cell, euclid(), [1.0])
             _collect([res])
             scaled.append(res.value / cell.cross_section)
         elapsed = time.time() - t0

@@ -386,6 +386,27 @@ class TestMain:
         assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    # each passed the parser and failed in the library, after the output directory existed
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ("command = fhom\nxi = 1,nan\nr = 4\n", "'xi' must be finite, got nan"),
+            ("command = ghom\nzeta = inf\nnu = 0,1\nr = 4\n", "'zeta' must be finite, got inf"),
+            ("command = fhom\nxi = 1,0\nr = 4\ncenter = nan,0\n", "'center' must be finite, got nan"),
+            (
+                "command = mu\nintegrand = checkerboard:3,1,2\nzeta = 1\nnu = 0,1\na_prime = 0:inf\n",
+                "'a_prime' must be finite, got inf",
+            ),
+        ],
+        ids=["xi", "zeta", "center", "a_prime"],
+    )
+    def test_non_finite_value_leaves_no_output(self, tmp_path, capsys, config, error):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_mc_bulk_reads_k(self):
         cfg = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 1,2\nk = 2\n")
         assert cfg.k == 2

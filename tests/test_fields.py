@@ -3,7 +3,6 @@ import pytest
 
 from cellhom.fields import (
     PhaseField,
-    PreconditionError,
     VectorField,
     affine_datum,
     bulk_energy,
@@ -105,11 +104,6 @@ class TestSurfaceEnergy:
         u = affine_datum(square, rng.normal(size=(1, 2)))
         v = PhaseField(square, np.zeros(square.node_shape))
         assert surface_energy(square, euclid(), u, v) == pytest.approx(square.volume)
-
-    def test_requires_homogeneous_density(self, square):
-        u = affine_datum(square, [[1.0, 0.0]])
-        with pytest.raises(PreconditionError):
-            surface_energy(square, area(), u, PhaseField.ones(square))
 
     def test_optimal_profile_energy_1d(self, line):
         # sharp ramp of height s = 2 across one cell, phase dipped to

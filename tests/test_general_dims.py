@@ -31,7 +31,7 @@ class TestVectorValued:
     def test_vector_jump_surface(self):
         cell = make_cell((0.0,), 8.0, (1.0,), 1, 0.1)
         zeta = np.array([1.2, -0.9])
-        res = solve_surface_cell(cell, euclid(), zeta, (1.0,))
+        res = solve_surface_cell(cell, euclid(), zeta)
         s = np.linalg.norm(zeta)
         assert res.value == pytest.approx(2.0 * s / (s + 2.0), rel=0.05)
 

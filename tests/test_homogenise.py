@@ -100,6 +100,13 @@ class TestEstimateGHom:
         est = estimate_g_hom(euclid(), [2.0], (1.0,), Schedule((16.0,), 0.05, nu=(1.0,)))
         assert est.extrapolated == pytest.approx(1.0, rel=0.02)
 
+    def test_density_enters_through_its_recession(self):
+        # the cells integrate f_inf, and the recession of area is |xi|
+        sched = Schedule((4.0, 8.0), 0.25, nu=E2)
+        smooth, flat = (estimate_g_hom(g, [1.0], E2, sched) for g in (area(), euclid()))
+        assert smooth.scaled_values.tolist() == flat.scaled_values.tolist()
+        assert [r.energy_trace for r in smooth.per_r_results] == [r.energy_trace for r in flat.per_r_results]
+
 
 class TestMonteCarlo:
     def test_degenerate_model_zero_std(self):

@@ -26,7 +26,6 @@ def sqrt_kink():
         profile_deriv=lambda s: 1.0 + 0.5 / np.sqrt(np.maximum(np.asarray(s, dtype=float), 1e-300)),
         profile_deriv2=lambda s: -0.25 * np.maximum(np.asarray(s, dtype=float), 1e-300) ** -1.5,
         recession_slope=1.0,
-        is_positively_homogeneous=False,
     )
 
 
@@ -105,7 +104,6 @@ class TestValidateAdmissibility:
             profile_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
             profile_deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             recession_slope=1.0,
-            is_positively_homogeneous=True,
         )
         report = validate_admissibility(bad)
         assert not report.passed

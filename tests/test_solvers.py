@@ -8,7 +8,6 @@ import cellhom.solvers
 
 from cellhom.fields import (
     PhaseField,
-    PreconditionError,
     VectorField,
     affine_datum,
     bulk_energy,
@@ -328,36 +327,39 @@ class TestSolveBulkCell:
 class TestSolveSurfaceCell:
     def test_zero_jump(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
-        res = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0))
+        res = solve_surface_cell(cell, euclid(), [0.0])
         # u stays flat, so every v-step returns v = 1 exactly
         assert res.value == 0.0
         assert np.all(res.v.values == 1.0)
 
     def test_1d_cohesive_value(self):
         cell = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
-        res = solve_surface_cell(cell, euclid(), [2.0], (1.0,))
+        res = solve_surface_cell(cell, euclid(), [2.0])
         assert res.value == pytest.approx(1.0, rel=0.02)
 
     def test_2d_isotropic_level(self):
         cell = make_cell((0.0, 0.0), 8.0, (0.0, 1.0), 1, 0.25)
-        res = solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0))
+        res = solve_surface_cell(cell, euclid(), [1.0])
         assert res.value / cell.cross_section == pytest.approx(2.0 / 3.0, rel=0.15)
 
     def test_upper_bound_vs_seeded_initialisation(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
-        res = solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0))
+        res = solve_surface_cell(cell, euclid(), [1.0])
         assert res.value <= res.energy_trace[0] + 1e-12
         assert trace_is_non_increasing(res.energy_trace)
 
-    def test_requires_matching_normal(self):
+    def test_density_enters_through_its_recession(self):
+        # the surface energy integrates f_inf, and the recession of area is |xi|
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
-        with pytest.raises(PreconditionError):
-            solve_surface_cell(cell, euclid(), [1.0], (1.0, 0.0))
+        smooth = solve_surface_cell(cell, area(), [1.0])
+        flat = solve_surface_cell(cell, euclid(), [1.0])
+        assert smooth.value == flat.value and smooth.energy_trace == flat.energy_trace
 
-    def test_requires_homogeneous_density(self):
+    def test_datum_width_is_keyword_only(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
-        with pytest.raises(PreconditionError):
-            solve_surface_cell(cell, area(), [1.0], (0.0, 1.0))
+        # a stale normal in the fourth place must not be read as a ramp width
+        with pytest.raises(TypeError):
+            solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0))
 
     def test_exhausted_early_level_reports_unconverged(self, monkeypatch):
         # zero jump: the first sweep lifts the seeded dip to v = 1, later
@@ -365,10 +367,10 @@ class TestSolveSurfaceCell:
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         monkeypatch.setattr(cellhom.solvers, "DELTA_SCHEDULE", (1e-1, 1e-2))
         monkeypatch.setattr(cellhom.solvers, "AM_MAX_ITERS", 1)
-        one = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0))
+        one = solve_surface_cell(cell, euclid(), [0.0])
         assert one.iterations == 2 and not one.converged
         monkeypatch.setattr(cellhom.solvers, "AM_MAX_ITERS", 2)
-        two = solve_surface_cell(cell, euclid(), [0.0], (0.0, 1.0))
+        two = solve_surface_cell(cell, euclid(), [0.0])
         assert two.iterations == 3 and two.converged
         assert one.value == two.value
 
@@ -376,8 +378,8 @@ class TestSolveSurfaceCell:
     def test_vector_jump_is_the_scalar_cell(self):
         cell = make_cell((0.0, 0.0), 8.0, (0.6, 0.8), 1, 0.25)
         zeta = np.array([0.6, 0.8])
-        vector = solve_surface_cell(cell, euclid(), zeta, (0.6, 0.8))
-        scalar = solve_surface_cell(cell, euclid(), [np.linalg.norm(zeta)], (0.6, 0.8))
+        vector = solve_surface_cell(cell, euclid(), zeta)
+        scalar = solve_surface_cell(cell, euclid(), [np.linalg.norm(zeta)])
         assert vector.value == scalar.value and vector.converged and scalar.converged
         assert vector.energy_trace == scalar.energy_trace
         np.testing.assert_allclose(vector.u.values, scalar.u.values * zeta / np.linalg.norm(zeta), rtol=0, atol=1e-15)
@@ -386,7 +388,7 @@ class TestSolveSurfaceCell:
         # v barely dips, so the sweeps creep; the dual carried across
         # sweeps and levels keeps each level within AM_MAX_ITERS
         cell = make_cell((0.0, 0.0), 8.0, (0.0, 1.0), 1, 0.25)
-        res = solve_surface_cell(cell, laminate(1.0, 2.0).recession_integrand(), [0.2], (0.0, 1.0))
+        res = solve_surface_cell(cell, laminate(1.0, 2.0).recession_integrand(), [0.2])
         assert res.converged
 
     def test_exhausted_u_step_reports_unconverged(self, monkeypatch):
@@ -394,9 +396,9 @@ class TestSolveSurfaceCell:
         # one-iteration u-steps; those u-steps ran out of their budget
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
         monkeypatch.setattr(cellhom.solvers, "DELTA_SCHEDULE", (1e-1,))
-        assert solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0)).converged
+        assert solve_surface_cell(cell, euclid(), [1.0]).converged
         monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
-        assert not solve_surface_cell(cell, euclid(), [1.0], (0.0, 1.0)).converged
+        assert not solve_surface_cell(cell, euclid(), [1.0]).converged
 
 
 FIVE_LEVELS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -426,7 +428,7 @@ class TestDeltaSchedule:
         cases = [(line, s) for s in (0.5, 1.0, 2.0, 4.0, 8.0)] + [(plane, z) for z in (1.0, 1.5, 2.0)]
 
         def solve_all():
-            return [solve_surface_cell(cell, euclid(), [z], cell.rotation.nu) for cell, z in cases]
+            return [solve_surface_cell(cell, euclid(), [z]) for cell, z in cases]
 
         sweeps, five_sweeps = self._total_iterations(monkeypatch, solve_all)
         assert 1.5 * sweeps <= five_sweeps
@@ -453,7 +455,7 @@ class TestNewtonCount:
 
         monkeypatch.setattr(cellhom.solvers, "minimize_u_given_v", counted)
         line = make_cell((0.0,), 16.0, (1.0,), 1, 0.05)
-        results = [solve_surface_cell(line, euclid(), [s], (1.0,)) for s in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        results = [solve_surface_cell(line, euclid(), [s]) for s in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(r.converged for r in results)
         assert sum(solves) <= 160
 
@@ -494,7 +496,7 @@ class TestTracedNames:
         solve_bulk_cell(cell, make_checkerboard(1, 1.0, 2.0).realise(), [[1.0, 0.0]])
         bulk = dict(calls)
         calls.update(dict.fromkeys(self.WRAPPED, 0))
-        solve_surface_cell(cell, euclid(), [1.0], cell.rotation.nu)
+        solve_surface_cell(cell, euclid(), [1.0])
         assert {name for name, count in bulk.items() if count == 0} == {"minimize_v_given_u", "surface_energy"}
         assert {name for name, count in calls.items() if count == 0} == {"bulk_energy"}
 
