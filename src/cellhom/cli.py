@@ -11,8 +11,9 @@ and writes deterministic artifacts into the output directory:
 * ``manifest``  key=value record of the config hash, seeds and versions.
 
 Exit status: 0 when all scheduled checks pass and all solves converged,
-2 when a check fails, a solve is unconverged or a linear solve broke
-down (no artifacts are written then), 1 on operational errors.
+2 when a check fails, a solve is unconverged (both with artifacts) or a
+linear solve broke down (:class:`cellhom.solvers.SolverBreakdown`; no
+artifacts are written then), 1 on operational errors.
 Identical (config, seeds) produce byte-identical CSV artifacts.
 """
 
@@ -192,6 +193,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"command {command!r} builds k = 1 cells; 'k' must be 1")
     if cfg.center and command in ("mc", "mu"):
         raise ConfigError(f"command {command!r} does not read 'center'")
+    if cfg.seeds and command != "mc":
+        raise ConfigError(f"command {command!r} does not read 'seeds'")
     return cfg
 
 

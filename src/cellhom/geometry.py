@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .integrand import InputDomainError
 
@@ -81,7 +82,7 @@ def rotation_for_normal(nu) -> Rotation:
     R(nu) Q_1 and R(-nu) Q_1 coincide as point sets.
     """
     nu = np.asarray(nu, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(nu) - 1.0) <= 1e-10:  # a NaN norm fails it too
         raise InputDomainError(f"normal must be a unit vector, |nu| = {np.linalg.norm(nu):.3g}")
     if _last_nonzero_sign(nu) > 0:
         R = _householder_to_last_axis(nu)
@@ -250,12 +251,13 @@ class FreeNodeOperator:
     corner pair, sum_a prod_{b > a} (dims[b] - 1): 1 in 1D, dims[-1] in
     2D.  Its storage is the LAPACK upper band of shape (bw + 1, nfree),
     flattened in column-major order, which LAPACK factorises in place;
-    ``diag`` lists the diagonal's slots.  Each term is plain index
-    arrays, with no scipy.sparse matrix: :meth:`assemble` adds one
-    coefficient per (cell, slot) times the cell weight with
-    ``np.bincount``, each slot taking its cells in ascending order and,
-    within a cell, its weight rows in ascending order.  An operator is
-    shared by every cell of its dims, so nothing in it may be written to.
+    ``diag`` lists the diagonal's slots.  Each term is one
+    ``scipy.sparse`` CSC matrix in ``scatter``, mapping the cell weights,
+    flattened cell-major (column cell * rows + weight row), to the band
+    slots; :meth:`assemble` is its product with the weights, which sums
+    each slot over its cells in ascending order and, within a cell, its
+    weight rows in ascending order.  An operator is shared by every cell
+    of its dims, so nothing in it may be written to.
     """
 
     def __init__(self, cell: CellDomain):
@@ -290,25 +292,21 @@ class FreeNodeOperator:
         self.nslots = (self.bw + 1) * nfree
         self.diag = np.arange(nfree) * (self.bw + 1) + self.bw
 
-        self._band = {}
+        self.scatter = {}
         for t, (p, q, sign, row) in terms.items():
-            # pairs of the same two cell-local nodes (equal nodes in cell 0)
-            # and weight row form one group with one coefficient; a group
-            # meets each slot in at most one cell, and groups in descending
-            # order of their row node in cell 0, then ascending weight row,
-            # meet every slot in ascending cell order, the order a per-cell
-            # sum takes
-            key = np.stack([-p[:, 0], q[:, 0], row], 1)
-            _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
-            coef = np.bincount(group.reshape(-1), weights=sign)
-            i, j = pos[p[first]], pos[q[first]]
-            sel = (i >= 0) & (j >= 0) & (i <= j)
-            slot = j * (self.bw + 1) + self.bw + i - j
-            # couplings to a fixed node go to the spare slot nslots
-            used = sel.any(axis=1)
-            self._band[t] = (np.where(sel, slot, self.nslots)[used].ravel(), coef[used], row[first][used])
+            # one column per (cell, weight row), cell-major; canonical CSC
+            # sums duplicates and sorts each column, so a product sums every
+            # slot over ascending cells, then ascending weight rows
+            i, j = pos[p], pos[q]
+            pair, c = np.nonzero((i >= 0) & (j >= 0) & (i <= j))
+            i, j, rows = i[pair, c], j[pair, c], row.max() + 1
+            entries = (sign[pair], (j * (self.bw + 1) + self.bw + i - j, c * rows + row[pair]))
+            self.scatter[t] = sp.csc_matrix(entries, shape=(self.nslots, rows * cell.num_cells))
         self.laplacian = self.assemble("hessian", np.eye(n).reshape(-1, 1).repeat(cell.num_cells, axis=1))
-        for arr in (self.free, self.diag, self.laplacian):
+        frozen = [self.free, self.diag, self.laplacian]
+        for m in self.scatter.values():
+            frozen += [m.data, m.indices, m.indptr]
+        for arr in frozen:
             arr.setflags(write=False)
 
     def assemble(self, term, weights):
@@ -317,9 +315,7 @@ class FreeNodeOperator:
         ``weights`` is (cells,) for ``mass`` and (n*n, cells) for
         ``hessian``, one row per axis pair (a, b).
         """
-        slots, coef, rows = self._band[term]
-        w = np.atleast_2d(weights)[rows]
-        return np.bincount(slots, weights=(coef[:, None] * w).ravel(), minlength=self.nslots + 1)[:-1]
+        return self.scatter[term] @ np.atleast_2d(weights).T.ravel()
 
 
 def make_cell(center, side, nu, k=1, h=0.25) -> CellDomain:

@@ -163,7 +163,12 @@ def estimate_f_inf_hom(
 
 
 def estimate_g_hom(g: Integrand, zeta, nu, schedule: Schedule) -> HomEstimate:
-    """Scaled interface minima m_s(jump, Q^nu_r(r x)) / cross-section of the recession of g."""
+    """Scaled interface minima m_s(jump, Q^nu_r(r x)) / cross-section of the recession of g.
+
+    The cells are k = 1 cubes on the normal ``nu``: the schedule's own
+    ``nu`` and ``k`` are replaced, and only its sizes, spacing and
+    ``center`` are read.
+    """
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     nu = np.asarray(nu, dtype=float).reshape(-1)
     sched = Schedule(schedule.r_values, schedule.h, 1, schedule.center, tuple(nu))

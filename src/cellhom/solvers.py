@@ -25,15 +25,15 @@ The v-step is exact: the surface energy is quadratic in the nodal
 phase values, so one Newton step from v = 1 reaches its minimiser, and
 a flat u leaves v = 1 exactly; boundary nodes stay 1.
 
-Both steps solve for free-node values.  Each sums its cell weights into
+Both steps solve for free-node values.  Each maps its cell weights into
 the free-free block of the cell's ``free_operator`` (see
-:class:`cellhom.geometry.FreeNodeOperator`) with ``np.bincount``, both
-building the Laplacian from its ``hessian`` term (the v-step scales the
-operator's ``laplacian``, that term under unit weights, assembled once),
-and solves each system (the u-step: one per component) with one call of
-LAPACK's ``dpbsv`` (banded Cholesky, ``dpbtrf`` then ``dpbtrs``).  A
-factorisation that breaks down, or a phase solve with non-finite values,
-raises :class:`SolverBreakdown`.
+:class:`cellhom.geometry.FreeNodeOperator`) with one sparse scatter
+product, both building the Laplacian from its ``hessian`` term (the
+v-step scales the operator's ``laplacian``, that term under unit
+weights, assembled once), and solves each system (the u-step: one per
+component) with one call of LAPACK's ``dpbsv`` (banded Cholesky,
+``dpbtrf`` then ``dpbtrs``).  A factorisation that breaks down, or a
+phase solve with non-finite values, raises :class:`SolverBreakdown`.
 
 Alternating minimisation keeps the best (lowest unsmoothed energy) pair
 seen; the recorded energy trace contains accepted energies only and is

@@ -94,7 +94,6 @@ r = 2,4
 h = 0.5
 k = 3
 center = 0.5,0.25
-seeds = 7,8
 t_schedule = 4,16
 route = hom_of_recession
 a_prime = 0:1,2:3
@@ -107,10 +106,13 @@ format_version = 1
         assert [x.tolist() for x in cfg.xi] == [[[1.0, 0.0]], [[0.0, 2.0]]]
         assert [z.tolist() for z in cfg.zeta] == [[1.0, 2.0], [3.0, 4.0]]
         assert cfg.nu == (0.6, 0.8) and cfg.r_values == (2.0, 4.0) and cfg.h == 0.5 and cfg.k == 3
-        assert cfg.center == (0.5, 0.25) and cfg.seeds == (7, 8) and cfg.t_schedule == (4.0, 16.0)
+        assert cfg.center == (0.5, 0.25) and cfg.t_schedule == (4.0, 16.0)
         assert cfg.route == "hom_of_recession" and cfg.a_prime == ((0.0, 1.0), (2.0, 3.0))
         assert cfg.mc_quantity == "g_hom"
         assert cfg.out == "runs/x" and cfg.format_version == 1
+        # only mc reads seeds
+        mc = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 7,8\n")
+        assert mc.seeds == (7, 8)
 
 
 class TestRun:
@@ -318,7 +320,8 @@ class TestMain:
     )
     def test_unusable_integrand_leaves_no_output(self, tmp_path, capsys, command, integrand, error):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(f"command = {command}\nintegrand = {integrand}\nxi = 1,0\nr = 4\nseeds = 1,2\n")
+        seeds = "seeds = 1,2\n" if command == "mc" else ""
+        cfg_path.write_text(f"command = {command}\nintegrand = {integrand}\nxi = 1,0\nr = 4\n{seeds}")
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"cellhom: {error}\n"
         assert not (tmp_path / "out").exists()
@@ -340,7 +343,7 @@ class TestMain:
         assert capsys.readouterr().err == f"cellhom: config error: command {command!r} requires 'nu'\n"
         assert not (tmp_path / "out").exists()
 
-    # surface cells are k = 1 cubes, and mc and mu centre every cell at 0
+    # surface cells are k = 1 cubes, mc and mu centre every cell at 0, and only mc reads seeds
     @pytest.mark.parametrize(
         "config, error",
         [
@@ -353,8 +356,10 @@ class TestMain:
             ),
             ("command = mc\nxi = 1,0\nr = 4\nseeds = 1,2\ncenter = 0.37,0.21\n", "command 'mc' does not read 'center'"),
             ("command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\ncenter = 0.5,0\n", "command 'mu' does not read 'center'"),
+            ("command = fhom\nxi = 1,0\nr = 4\nseeds = 7,8\n", "command 'fhom' does not read 'seeds'"),
+            ("command = verify\nseeds = 7,8\n", "command 'verify' does not read 'seeds'"),
         ],
-        ids=["ghom-k", "sweep-k", "mu-k", "mc-ghom-k", "mc-center", "mu-center"],
+        ids=["ghom-k", "sweep-k", "mu-k", "mc-ghom-k", "mc-center", "mu-center", "fhom-seeds", "verify-seeds"],
     )
     def test_ignored_geometry_key_is_config_error(self, tmp_path, capsys, config, error):
         cfg_path = tmp_path / "run.cfg"
@@ -376,8 +381,9 @@ class TestMain:
                 "'t_schedule' must be finite and positive, got 0.0",
             ),
             ("command = ghom\nzeta = 1\nnu = 0,2\nr = 4\n", "'nu': normal must be a unit vector, |nu| = 2"),
+            ("command = ghom\nzeta = 1\nnu = nan,1\nr = 4\n", "'nu': normal must be a unit vector, |nu| = nan"),
         ],
-        ids=["h-zero", "h-negative", "h-nan", "r-zero", "t-zero", "nu-not-unit"],
+        ids=["h-zero", "h-negative", "h-nan", "r-zero", "t-zero", "nu-not-unit", "nu-nan"],
     )
     def test_unusable_size_leaves_no_output(self, tmp_path, capsys, config, error):
         cfg_path = tmp_path / "run.cfg"

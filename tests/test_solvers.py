@@ -16,7 +16,7 @@ from cellhom.fields import (
     jump_datum,
     surface_energy,
 )
-from cellhom.geometry import make_cell
+from cellhom.geometry import make_box_cell, make_cell
 from cellhom.integrand import InputDomainError, Integrand, area, euclid, laminate, make_checkerboard
 from cellhom.solvers import (
     SolverBreakdown,
@@ -191,6 +191,14 @@ EQUIVALENCE_CELLS = {
     "3d": (make_cell((0.0, 0.0, 0.0), 2.0, (0.0, 0.0, 1.0), 1, 0.5), [1.0]),
 }
 
+# the exact-assembly grids: four of the cells above and the grids of the
+# cohesive-1d and cohesive-2d benchmark workloads
+ASSEMBLY_CELLS = {
+    **{name: EQUIVALENCE_CELLS[name][0] for name in ("1d", "2d-k3", "2d-rotated", "3d")},
+    "1d-r16-h0.05": make_cell((0.0,), 16.0, (1.0,), 1, 0.05),
+    "2d-r8-rotated": make_cell((0.0, 0.0), 8.0, (0.6, 0.8), 1, 0.25),
+}
+
 
 class TestFreeNodeOperator:
     """Both steps against a scipy.sparse assembly of the same systems."""
@@ -248,14 +256,28 @@ class TestFreeNodeOperator:
         assert v.values.min() < 0.99
         assert relative_gap(v.values, reference_v_step(cell, euclid(), u)) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_CELLS))
     @pytest.mark.parametrize("term", ["mass", "hessian"])
     def test_assembly_matches_sparse_product_exactly(self, name, term, rng):
-        cell, _ = EQUIVALENCE_CELLS[name]
+        cell = ASSEMBLY_CELLS[name]
         # the hessian takes one weight row per axis pair (a, b)
         shape = (cell.n**2, cell.num_cells) if term == "hessian" else cell.num_cells
         w = rng.uniform(0.1, 2.0, size=shape)
         assert np.array_equal(cell.free_operator.assemble(term, w), sparse_products(cell, term, w))
+
+    @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
+    def test_shared_operator_is_read_only(self, name):
+        cell, _ = EQUIVALENCE_CELLS[name]
+        op = cell.free_operator
+        # every cell of these dims is handed this one operator
+        hi = cell.lo + cell.realised_sides
+        assert make_box_cell(-cell.rotation.nu, cell.lo, hi, cell.h, cell.center + 1.0).free_operator is op
+        arrays = [op.free, op.diag, op.laplacian]
+        arrays += [arr for m in op.scatter.values() for arr in (m.data, m.indices, m.indptr)]
+        assert sorted(op.scatter) == ["hessian", "mass"]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
     @pytest.mark.parametrize("name", ["1d", "2d-k3", "3d"])
     def test_indefinite_band_is_a_breakdown(self, name):
