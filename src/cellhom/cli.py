@@ -12,9 +12,11 @@ and writes deterministic artifacts into the output directory:
 
 Exit status: 0 when all scheduled checks pass and all solves converged,
 2 when a check fails, a solve is unconverged (both with artifacts) or a
-linear solve broke down (:class:`cellhom.solvers.SolverBreakdown`; no
-artifacts are written then), 1 on operational errors.
-Identical (config, seeds) produce byte-identical CSV artifacts.
+linear solve broke down (:class:`cellhom.solvers.SolverBreakdown`), 1 on
+operational errors.  The output directory is created only once every
+solve has returned, so no exit-1 error and no ``SolverBreakdown``
+creates it.  Identical (config, seeds) produce byte-identical CSV
+artifacts.
 """
 
 from __future__ import annotations
@@ -46,8 +48,22 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 REPORT_FORMAT_VERSION = 1
 
-COMMANDS = ("fhom", "finfhom", "ghom", "mc", "mu", "verify", "sweep")
 ROUTES = ("hom_of_recession", "recession_of_hom")
+
+# command -> (keys it requires, further keys it reads); mc has one entry
+# per mc_quantity, and every command also reads command, out and
+# format_version.  Setting any other key is a config error.
+_COMMAND_KEYS = {
+    "fhom": (("xi", "r"), ("integrand", "nu", "h", "k", "center")),
+    "finfhom": (("xi", "r"), ("integrand", "nu", "h", "k", "center", "t_schedule", "route")),
+    "ghom": (("zeta", "nu", "r"), ("integrand", "h", "center")),
+    "mc f_hom": (("xi", "r", "seeds"), ("integrand", "h", "k", "mc_quantity")),
+    "mc g_hom": (("zeta", "nu", "r", "seeds"), ("integrand", "h", "mc_quantity")),
+    "mu": (("zeta", "nu", "a_prime"), ("integrand", "h")),
+    "verify": ((), ()),
+    "sweep": (("xi", "zeta", "nu", "r"), ("integrand", "h", "center")),
+}
+COMMANDS = tuple(dict.fromkeys(entry.split()[0] for entry in _COMMAND_KEYS))
 
 class ConfigError(ValueError):
     """Raised on malformed or incomplete run configs."""
@@ -79,12 +95,9 @@ def _parse_matrix(text):
     return np.array([[float(v) for v in r.split(",")] for r in rows])
 
 
-def _parse_vector(text):
-    return np.array([float(v) for v in text.split(",")])
-
-
 def _parse_floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    # an empty entry ('0,,1', '4,8,') does not convert, so it is a parse error
+    return tuple(float(v) for v in text.split(","))
 
 
 def _parse_ints(text):
@@ -105,7 +118,7 @@ _CONFIG_KEYS = {
     "command": ("command", str),
     "integrand": ("integrand", str),
     "xi": ("xi", _parse_matrix),
-    "zeta": ("zeta", _parse_vector),
+    "zeta": ("zeta", lambda text: np.array(_parse_floats(text))),
     "nu": ("nu", _parse_floats),
     "r": ("r_values", _parse_floats),
     "h": ("h", float),
@@ -128,8 +141,13 @@ def _require_finite(key, values, positive=False):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a key=value config; unknown keys are rejected."""
+    """Parse and validate a key=value config.
+
+    Unknown keys, a key the command requires but the text does not set,
+    and a key the text sets but the command does not read are rejected.
+    """
     cfg = RunConfig(command=None, raw_text=text)
+    keys = []  # the keys the text sets, in line order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,12 +166,22 @@ def parse_config(text: str) -> RunConfig:
             getattr(cfg, name).append(value)
         else:
             setattr(cfg, name, value)
+        keys.append(key)
 
     command = cfg.command
     if command is None:
         raise ConfigError("missing required key 'command'")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    entry = f"mc {cfg.mc_quantity}" if command == "mc" else command
+    if entry not in _COMMAND_KEYS:
+        raise ConfigError(f"unknown mc quantity {cfg.mc_quantity!r}")
+    required, reads = _COMMAND_KEYS[entry]
+    if missing := [key for key in required if key not in keys]:
+        raise ConfigError(f"command {command!r} requires {missing[0]!r}")
+    read = ("command", "out", "format_version", *required, *reads)
+    if unread := [key for key in keys if key not in read]:
+        raise ConfigError(f"command {command!r} does not read {unread[0]!r}")
     if cfg.format_version != REPORT_FORMAT_VERSION:
         raise ConfigError(f"unsupported report format version {cfg.format_version}")
     # spacings, sizes and recession scales no run can use, and non-finite
@@ -169,32 +197,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"'nu': {exc}") from exc
     if cfg.route != "both" and cfg.route not in ROUTES:
         raise ConfigError(f"unknown route {cfg.route!r}; expected 'both' or one of {ROUTES}")
-    if command in ("fhom", "finfhom", "sweep") and not cfg.xi:
-        raise ConfigError(f"command {command!r} requires at least one 'xi'")
-    if command in ("ghom", "mu", "sweep") and not cfg.zeta:
-        raise ConfigError(f"command {command!r} requires at least one 'zeta'")
-    if command in ("ghom", "mu", "sweep") and not cfg.nu:
-        raise ConfigError(f"command {command!r} requires 'nu'")
-    if command == "mc":
-        if not cfg.seeds:
-            raise ConfigError("command 'mc': seeds required")
-        if cfg.mc_quantity == "f_hom" and not cfg.xi:
-            raise ConfigError("command 'mc' with f_hom requires 'xi'")
-        if cfg.mc_quantity == "g_hom" and (not cfg.zeta or not cfg.nu):
-            raise ConfigError("command 'mc' with g_hom requires 'zeta' and 'nu'")
-        if cfg.mc_quantity not in ("f_hom", "g_hom"):
-            raise ConfigError(f"unknown mc quantity {cfg.mc_quantity!r}")
-    if command in ("fhom", "finfhom", "ghom", "mc", "sweep") and not cfg.r_values:
-        raise ConfigError(f"command {command!r} requires a non-empty 'r' schedule")
-    if command == "mu" and not cfg.a_prime:
-        raise ConfigError("command 'mu' requires 'a_prime'")
-    # interface cells and the mu box are never elongated, and mc and mu take no blow-up point
-    if cfg.k != 1 and (command in ("ghom", "sweep", "mu") or (command == "mc" and cfg.mc_quantity == "g_hom")):
-        raise ConfigError(f"command {command!r} builds k = 1 cells; 'k' must be 1")
-    if cfg.center and command in ("mc", "mu"):
-        raise ConfigError(f"command {command!r} does not read 'center'")
-    if cfg.seeds and command != "mc":
-        raise ConfigError(f"command {command!r} does not read 'seeds'")
     return cfg
 
 
@@ -257,27 +259,18 @@ def _summary_row(est: HomEstimate):
 def run(config: RunConfig, out_dir=None) -> int:
     """Execute a parsed config and write artifacts; returns the exit code."""
     out = Path(out_dir if out_dir is not None else config.out)
-    # reject an unusable integrand before the output directory exists
+    estimates: list[HomEstimate] = []
+    checks = []
     try:
         integrand_or_model = resolve(config.integrand)
         model = integrand_or_model if isinstance(integrand_or_model, RandomIntegrandModel) else None
         if config.command in ("mc", "mu") and model is None:
             raise ConfigError(f"command {config.command!r} requires a random integrand (checkerboard id)")
-    except ValueError as exc:
-        print(f"cellhom: {exc}", file=sys.stderr)
-        return 1
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cellhom: cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-
-    estimates: list[HomEstimate] = []
-    checks = []
-    try:
         g = integrand_or_model if model is None else model.realise()
-        nu = config.nu or None
-        sched = Schedule(config.r_values or (4.0, 8.0), config.h, config.k, config.center or None, nu)
+        # mu and verify read no r and build no schedule; every other command requires r
+        sched = None
+        if config.r_values:
+            sched = Schedule(config.r_values, config.h, config.k, config.center or None, config.nu or None)
 
         if config.command in ("fhom", "sweep"):
             estimates += [estimate_f_hom(g, xi, sched) for xi in config.xi]
@@ -300,6 +293,7 @@ def run(config: RunConfig, out_dir=None) -> int:
             ]
         if config.command == "verify":
             checks = run_suite()
+        out.mkdir(parents=True, exist_ok=True)
     except ValueError as exc:
         # config, domain, precondition and resolution errors all derive
         # from ValueError; report and exit as an operational failure

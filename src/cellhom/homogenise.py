@@ -69,6 +69,9 @@ class Schedule:
             raise InputDomainError("r_values must be increasing and non-empty")
 
     def cell(self, r, n):
+        """The cell at size r for n-dimensional data (gradient columns or normal entries)."""
+        if self.nu is not None and len(self.nu) != n:
+            raise InputDomainError(f"gradient dimension {n} does not match normal dimension {len(self.nu)}")
         center = np.zeros(n) if self.center is None else np.asarray(self.center, dtype=float)
         nu = self.nu
         if nu is None:
@@ -201,6 +204,9 @@ def mc_expectation(
     seeds = list(seeds)
     if len(seeds) < 2:
         raise InputDomainError("Monte Carlo needs at least 2 seeds")
+    # a repeated seed repeats its realisation, so the spread would not be over i.i.d. samples
+    if len(set(seeds)) < len(seeds):
+        raise InputDomainError(f"Monte Carlo seeds must be distinct, got {seeds}")
     values, results = [], []
     for seed in seeds:
         realisation = replace(model, master_seed=int(seed))

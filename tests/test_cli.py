@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import cellhom.solvers
-from cellhom.cli import ConfigError, main, parse_config, run
+from cellhom.cli import _CONFIG_KEYS, ConfigError, main, parse_config, run
 
 MINIMAL_FHOM = """
 command = fhom
@@ -15,6 +16,8 @@ integrand = euclid
 xi = 1,0
 r = 4,8
 """
+
+CHECKERBOARD = "integrand = checkerboard:3,1,2\n"
 
 MINIMAL_MU = """
 command = mu
@@ -44,7 +47,7 @@ class TestParseConfig:
             parse_config("command = fhom\nxi = 1,0\nbar = 2\n")
 
     def test_mc_without_seeds(self):
-        with pytest.raises(ConfigError, match="seeds required"):
+        with pytest.raises(ConfigError, match="command 'mc' requires 'seeds'"):
             parse_config("command = mc\nintegrand = checkerboard:1,1,2\nxi = 1,0\nr = 4\n")
 
     def test_unknown_command(self):
@@ -81,14 +84,13 @@ class TestParseConfig:
             parse_config(MINIMAL_FHOM + "format_version = 99\n")
 
     def test_every_key_off_default(self):
+        # each key is set under a command that reads it
         cfg = parse_config(
             """
 command = finfhom
 integrand = area
 xi = 1,0
 xi = 0,2
-zeta = 1,2
-zeta = 3,4
 nu = 0.6,0.8
 r = 2,4
 h = 0.5
@@ -96,23 +98,29 @@ k = 3
 center = 0.5,0.25
 t_schedule = 4,16
 route = hom_of_recession
-a_prime = 0:1,2:3
-mc_quantity = g_hom
 out = runs/x
 format_version = 1
 """
         )
         assert cfg.command == "finfhom" and cfg.integrand == "area"
         assert [x.tolist() for x in cfg.xi] == [[[1.0, 0.0]], [[0.0, 2.0]]]
-        assert [z.tolist() for z in cfg.zeta] == [[1.0, 2.0], [3.0, 4.0]]
         assert cfg.nu == (0.6, 0.8) and cfg.r_values == (2.0, 4.0) and cfg.h == 0.5 and cfg.k == 3
         assert cfg.center == (0.5, 0.25) and cfg.t_schedule == (4.0, 16.0)
-        assert cfg.route == "hom_of_recession" and cfg.a_prime == ((0.0, 1.0), (2.0, 3.0))
-        assert cfg.mc_quantity == "g_hom"
+        assert cfg.route == "hom_of_recession"
         assert cfg.out == "runs/x" and cfg.format_version == 1
-        # only mc reads seeds
-        mc = parse_config("command = mc\nintegrand = checkerboard:3,1,2\nxi = 1,0\nr = 4\nseeds = 7,8\n")
-        assert mc.seeds == (7, 8)
+        mu = parse_config(CHECKERBOARD + "command = mu\nzeta = 1,2\nzeta = 3,4\nnu = 0,0.6,0.8\na_prime = 0:1,2:3\n")
+        assert [z.tolist() for z in mu.zeta] == [[1.0, 2.0], [3.0, 4.0]]
+        assert mu.a_prime == ((0.0, 1.0), (2.0, 3.0))
+        mc = parse_config(CHECKERBOARD + "command = mc\nmc_quantity = g_hom\nzeta = 1\nnu = 0,1\nr = 4\nseeds = 7,8\n")
+        assert mc.mc_quantity == "g_hom" and mc.seeds == (7, 8)
+
+    def test_readme_config_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        for block in blocks:
+            parse_config(block)
+        # together the examples show every key
+        assert {key for block in blocks for key in re.findall(r"^(\w+) =", block, flags=re.M)} == set(_CONFIG_KEYS)
 
 
 class TestRun:
@@ -347,23 +355,55 @@ class TestMain:
     @pytest.mark.parametrize(
         "config, error",
         [
-            ("command = ghom\nzeta = 1\nnu = 0,1\nr = 4\nk = 3\n", "command 'ghom' builds k = 1 cells; 'k' must be 1"),
-            ("command = sweep\nxi = 1,0\nzeta = 1\nnu = 0,1\nr = 4\nk = 2\n", "command 'sweep' builds k = 1 cells; 'k' must be 1"),
-            ("command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\nk = 2\n", "command 'mu' builds k = 1 cells; 'k' must be 1"),
+            (CHECKERBOARD + "command = ghom\nzeta = 1\nnu = 0,1\nr = 4\nk = 3\n", "command 'ghom' does not read 'k'"),
             (
-                "command = mc\nmc_quantity = g_hom\nzeta = 1\nnu = 0,1\nr = 4\nseeds = 1,2\nk = 2\n",
-                "command 'mc' builds k = 1 cells; 'k' must be 1",
+                CHECKERBOARD + "command = sweep\nxi = 1,0\nzeta = 1\nnu = 0,1\nr = 4\nk = 2\n",
+                "command 'sweep' does not read 'k'",
             ),
-            ("command = mc\nxi = 1,0\nr = 4\nseeds = 1,2\ncenter = 0.37,0.21\n", "command 'mc' does not read 'center'"),
-            ("command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\ncenter = 0.5,0\n", "command 'mu' does not read 'center'"),
-            ("command = fhom\nxi = 1,0\nr = 4\nseeds = 7,8\n", "command 'fhom' does not read 'seeds'"),
+            (CHECKERBOARD + "command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\nk = 2\n", "command 'mu' does not read 'k'"),
+            (
+                CHECKERBOARD + "command = mc\nmc_quantity = g_hom\nzeta = 1\nnu = 0,1\nr = 4\nseeds = 1,2\nk = 2\n",
+                "command 'mc' does not read 'k'",
+            ),
+            (
+                CHECKERBOARD + "command = mc\nxi = 1,0\nr = 4\nseeds = 1,2\ncenter = 0.37,0.21\n",
+                "command 'mc' does not read 'center'",
+            ),
+            (
+                CHECKERBOARD + "command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1\ncenter = 0.5,0\n",
+                "command 'mu' does not read 'center'",
+            ),
+            (CHECKERBOARD + "command = fhom\nxi = 1,0\nr = 4\nseeds = 7,8\n", "command 'fhom' does not read 'seeds'"),
             ("command = verify\nseeds = 7,8\n", "command 'verify' does not read 'seeds'"),
         ],
         ids=["ghom-k", "sweep-k", "mu-k", "mc-ghom-k", "mc-center", "mu-center", "fhom-seeds", "verify-seeds"],
     )
     def test_ignored_geometry_key_is_config_error(self, tmp_path, capsys, config, error):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("integrand = checkerboard:3,1,2\n" + config)
+        cfg_path.write_text(config)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    # keys the command does not read, whatever their value
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ("command = ghom\nzeta = 1\nnu = 0,1\nr = 4\nt_schedule = 4,16\n", "command 'ghom' does not read 't_schedule'"),
+            ("command = ghom\nzeta = 1\nnu = 0,1\nr = 4\nroute = recession_of_hom\n", "command 'ghom' does not read 'route'"),
+            ("command = ghom\nzeta = 1\nnu = 0,1\nr = 4\na_prime = 0:1\n", "command 'ghom' does not read 'a_prime'"),
+            ("command = ghom\nzeta = 1\nnu = 0,1\nr = 4\nmc_quantity = g_hom\n", "command 'ghom' does not read 'mc_quantity'"),
+            (
+                CHECKERBOARD + "command = mc\nmc_quantity = f_hom\nxi = 1,0\nr = 4\nseeds = 1,2\nnu = 0.6,0.8\n",
+                "command 'mc' does not read 'nu'",
+            ),
+            ("command = verify\nintegrand = euclid\n", "command 'verify' does not read 'integrand'"),
+        ],
+        ids=["ghom-t_schedule", "ghom-route", "ghom-a_prime", "ghom-mc_quantity", "mc-fhom-nu", "verify-integrand"],
+    )
+    def test_unread_key_leaves_no_output(self, tmp_path, capsys, config, error):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
         assert not (tmp_path / "out").exists()
@@ -382,8 +422,13 @@ class TestMain:
             ),
             ("command = ghom\nzeta = 1\nnu = 0,2\nr = 4\n", "'nu': normal must be a unit vector, |nu| = 2"),
             ("command = ghom\nzeta = 1\nnu = nan,1\nr = 4\n", "'nu': normal must be a unit vector, |nu| = nan"),
+            (
+                "command = ghom\nzeta = 1\nnu = 0,,1\nr = 4\n",
+                "line 3: cannot parse 'nu': could not convert string to float: ''",
+            ),
+            ("command = fhom\nxi = 1,0\nr = 4,8,\n", "line 3: cannot parse 'r': could not convert string to float: ''"),
         ],
-        ids=["h-zero", "h-negative", "h-nan", "r-zero", "t-zero", "nu-not-unit", "nu-nan"],
+        ids=["h-zero", "h-negative", "h-nan", "r-zero", "t-zero", "nu-not-unit", "nu-nan", "nu-empty-entry", "r-trailing-comma"],
     )
     def test_unusable_size_leaves_no_output(self, tmp_path, capsys, config, error):
         cfg_path = tmp_path / "run.cfg"
@@ -411,6 +456,43 @@ class TestMain:
         cfg_path.write_text(config)
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"cellhom: config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    # each fails in the library; the output directory is made only after the solves return
+    @pytest.mark.parametrize(
+        "config, error",
+        [
+            ("command = fhom\nxi = 1,0\nr = 4\nk = 0\n", "elongation k must be a positive integer"),
+            (CHECKERBOARD + "command = mc\nxi = 1,0\nr = 4\nseeds = 1\n", "Monte Carlo needs at least 2 seeds"),
+            (
+                CHECKERBOARD + "command = mc\nxi = 1,0\nr = 2\nh = 0.5\nseeds = 5,5\n",
+                "Monte Carlo seeds must be distinct, got [5, 5]",
+            ),
+            ("command = fhom\nxi = 1,0\nr = 8,4\n", "r_values must be increasing and non-empty"),
+            ("command = fhom\nxi = 1,0,0\nnu = 0,1\nr = 4\n", "gradient dimension 3 does not match normal dimension 2"),
+            (
+                CHECKERBOARD + "command = mu\nzeta = 1\nnu = 0,1\na_prime = 1:0\n",
+                "a_prime must be n-1 nonempty half-open intervals",
+            ),
+            (
+                CHECKERBOARD + "command = mu\nzeta = 1\nnu = 0,1\na_prime = 0:1,0:1\n",
+                "a_prime must be n-1 nonempty half-open intervals",
+            ),
+            (
+                CHECKERBOARD + "command = mu\nzeta = 1\nnu = 0.7071067811865476,0.7071067811865476\na_prime = 0:1\n",
+                "no integer multiple of the rotation for nu=[0.70710678 0.70710678] within cap 64",
+            ),
+        ],
+        ids=[
+            "k-zero", "one-seed", "repeated-seed", "r-decreasing", "xi-nu-dims", "a_prime-empty", "a_prime-two",
+            "mu-irrational",
+        ],
+    )
+    def test_library_error_leaves_no_output(self, tmp_path, capsys, config, error):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"cellhom: {error}\n"
         assert not (tmp_path / "out").exists()
 
     def test_mc_bulk_reads_k(self):

@@ -53,6 +53,10 @@ class TestEstimateFHom:
         with pytest.raises(InputDomainError):
             Schedule(())
 
+    def test_gradient_dimension_must_match_normal(self):
+        with pytest.raises(InputDomainError, match="gradient dimension 3 does not match normal dimension 2"):
+            estimate_f_hom(euclid(), [[1.0, 0.0, 0.0]], Schedule((4.0,), 0.5, nu=E2))
+
 
 class TestRecessionRoutes:
     def test_euclid_both_routes(self):
@@ -126,6 +130,12 @@ class TestMonteCarlo:
         model = make_checkerboard(3, 1.0, 2.0)
         with pytest.raises(InputDomainError):
             mc_expectation(model, "f_hom", np.array([[1.0, 0.0]]), seeds=[1], r=4.0)
+
+    def test_needs_distinct_seeds(self):
+        # a repeated seed is a second copy of one realisation, not an independent sample
+        model = make_checkerboard(3, 1.0, 2.0)
+        with pytest.raises(InputDomainError, match="seeds must be distinct"):
+            mc_expectation(model, "f_hom", np.array([[1.0, 0.0]]), seeds=[1, 2, 1], r=4.0)
 
     def test_ghom_quantity(self):
         model = make_checkerboard(3, 1.0, 2.0)
