@@ -64,9 +64,6 @@ class VectorField:
     def N(self):
         return self.values.shape[-1]
 
-    def copy(self):
-        return VectorField(self.cell, self.values.copy())
-
 
 @dataclass(eq=False)
 class PhaseField:
@@ -83,9 +80,6 @@ class PhaseField:
             )
         if not np.all(np.isfinite(self.values)):
             raise InputDomainError("phase field contains non-finite values")
-
-    def copy(self):
-        return PhaseField(self.cell, self.values.copy())
 
     @staticmethod
     def ones(cell):

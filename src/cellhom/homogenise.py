@@ -21,7 +21,7 @@ covariance and subadditivity underpin the ergodic limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,39 +82,45 @@ class Schedule:
 
 @dataclass(eq=False)
 class HomEstimate:
-    """Scaled cell values along an r-schedule with a convergence record."""
+    """Scaled cell values along an r-schedule with a convergence record.
+
+    ``per_r_results`` holds every cell solve behind the values (for a
+    Monte Carlo ``ensemble``, one per seed).  The record reads off them:
+    ``extrapolated`` is the last scaled value, ``cauchy_gap`` its gap to
+    the one before (0 for a single value), and ``warnings`` flags a gap
+    above ``DEFAULT_CAUCHY_TOL`` relative to max(1, |extrapolated|) and
+    an unconverged solve.
+    """
 
     quantity: str
     argument: tuple
     r_values: tuple
     scaled_values: np.ndarray
-    extrapolated: float
-    cauchy_gap: float
     per_r_results: list
     ensemble: Optional[dict] = None
-    warnings: list = field(default_factory=list)
     route: Optional[str] = None
 
-    @staticmethod
-    def from_runs(quantity, argument, r_values, scaled, results, route=None):
-        scaled = np.asarray(scaled, dtype=float)
-        gap = float(abs(scaled[-1] - scaled[-2])) if len(scaled) > 1 else 0.0
+    def __post_init__(self):
+        self.r_values = tuple(self.r_values)
+        self.scaled_values = np.asarray(self.scaled_values, dtype=float)
+
+    @property
+    def extrapolated(self) -> float:
+        return float(self.scaled_values[-1])
+
+    @property
+    def cauchy_gap(self) -> float:
+        s = self.scaled_values
+        return float(abs(s[-1] - s[-2])) if len(s) > 1 else 0.0
+
+    @property
+    def warnings(self) -> list:
         warnings = []
-        if len(scaled) > 1 and gap > DEFAULT_CAUCHY_TOL * max(1.0, abs(scaled[-1])):
-            warnings.append(f"non-Cauchy tail: gap {gap:.3g} at r={r_values[-1]}")
-        if any(not res.converged for res in results):
+        if self.cauchy_gap > DEFAULT_CAUCHY_TOL * max(1.0, abs(self.extrapolated)):
+            warnings.append(f"non-Cauchy tail: gap {self.cauchy_gap:.3g} at r={self.r_values[-1]}")
+        if any(not res.converged for res in self.per_r_results):
             warnings.append("one or more cell solves unconverged; values are upper bounds")
-        return HomEstimate(
-            quantity=quantity,
-            argument=argument,
-            r_values=tuple(r_values),
-            scaled_values=scaled,
-            extrapolated=float(scaled[-1]),
-            cauchy_gap=gap,
-            per_r_results=list(results),
-            warnings=warnings,
-            route=route,
-        )
+        return warnings
 
 
 def estimate_f_hom(g: Integrand, xi, schedule: Schedule) -> HomEstimate:
@@ -126,7 +132,7 @@ def estimate_f_hom(g: Integrand, xi, schedule: Schedule) -> HomEstimate:
         res = solve_bulk_cell(cell, g, xi)
         results.append(res)
         scaled.append(res.value / cell.volume)
-    return HomEstimate.from_runs("f_hom", (xi.copy(),), schedule.r_values, scaled, results)
+    return HomEstimate("f_hom", (xi.copy(),), schedule.r_values, scaled, results)
 
 
 def estimate_f_inf_hom(
@@ -147,9 +153,7 @@ def estimate_f_inf_hom(
     if route == "hom_of_recession":
         ginf = g.recession_integrand()
         est = estimate_f_hom(ginf, xi, schedule)
-        return HomEstimate.from_runs(
-            "f_inf_hom", (xi.copy(),), est.r_values, est.scaled_values, est.per_r_results, route=route
-        )
+        return HomEstimate("f_inf_hom", (xi.copy(),), est.r_values, est.scaled_values, est.per_r_results, route=route)
     if route == "recession_of_hom":
         # one solve per t, at the largest r (the one that feeds the scaled
         # value), so report rows stay aligned with the t-schedule
@@ -159,9 +163,7 @@ def estimate_f_inf_hom(
             est = estimate_f_hom(g, t * xi, last)
             values.append(est.extrapolated / t)
             results.append(est.per_r_results[-1])
-        return HomEstimate.from_runs(
-            "f_inf_hom", (xi.copy(),), tuple(t_schedule), values, results, route=route
-        )
+        return HomEstimate("f_inf_hom", (xi.copy(),), t_schedule, values, results, route=route)
     raise InputDomainError(f"unknown route {route!r}")
 
 
@@ -181,7 +183,7 @@ def estimate_g_hom(g: Integrand, zeta, nu, schedule: Schedule) -> HomEstimate:
         res = solve_surface_cell(cell, g, zeta)
         results.append(res)
         scaled.append(res.value / cell.cross_section)
-    return HomEstimate.from_runs("g_hom", (zeta.copy(), nu.copy()), sched.r_values, scaled, results)
+    return HomEstimate("g_hom", (zeta.copy(), nu.copy()), sched.r_values, scaled, results)
 
 
 def mc_expectation(
@@ -232,9 +234,7 @@ def mc_expectation(
         "halfwidth95": 1.96 * std / np.sqrt(len(seeds)),
     }
     # the argument in the form of the per-seed estimates: (xi,) or (zeta, nu)
-    est = HomEstimate.from_runs(quantity, est.argument, (r,), [ensemble["mean"]], results)
-    est.ensemble = ensemble
-    return est
+    return HomEstimate(quantity, est.argument, (r,), [ensemble["mean"]], results, ensemble=ensemble)
 
 
 def lattice_period(nu):
@@ -276,4 +276,4 @@ def subadditive_process_eval(
     hi = np.array([b for _, b in pairs] + [c]) * M
     cell = make_box_cell(nu, lo, hi, h)
     res = solve_surface_cell(cell, model.realise(), zeta, datum_width=1.0)
-    return HomEstimate.from_runs("mu", (zeta.copy(), nu.copy()), (0.0,), [res.value / M ** (n - 1)], [res])
+    return HomEstimate("mu", (zeta.copy(), nu.copy()), (0.0,), [res.value / M ** (n - 1)], [res])

@@ -147,14 +147,21 @@ ADMISSIBILITY_SLACK = 1e-10
 
 @dataclass
 class ValidationReport:
-    """Worst-case violation margins over a random sample; <= 0 passes."""
+    """Worst-case violation margins over a random sample.
+
+    ``passed`` holds when every margin is <= 0 (within ``ADMISSIBILITY_SLACK``).
+    """
 
     integrand_id: str
     growth_margin: float
     recession_rate_margins: dict
     recession_bounds_margin: float
     num_samples: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        margins = (self.growth_margin, self.recession_bounds_margin, *self.recession_rate_margins.values())
+        return all(m <= ADMISSIBILITY_SLACK for m in margins)
 
 
 def validate_admissibility(g: Integrand) -> ValidationReport:
@@ -191,18 +198,12 @@ def validate_admissibility(g: Integrand) -> ValidationReport:
         rhs = (C / t) * (1.0 + ft ** (1.0 - g.alpha))
         rate_margins[t] = float(np.max(lhs - rhs))
 
-    passed = (
-        growth <= ADMISSIBILITY_SLACK
-        and all(v <= ADMISSIBILITY_SLACK for v in rate_margins.values())
-        and rec_bounds <= ADMISSIBILITY_SLACK
-    )
     return ValidationReport(
         integrand_id=g.id,
         growth_margin=growth,
         recession_rate_margins=rate_margins,
         recession_bounds_margin=rec_bounds,
         num_samples=len(pts),
-        passed=passed,
     )
 
 

@@ -96,18 +96,22 @@ U_MAX_ITERS = 1200
 class CellResult:
     """Outcome of one cell-problem minimisation.
 
-    ``value`` is the unsmoothed energy of the best iterate (the last
-    entry of ``energy_trace``); ``converged`` is False when an iteration
-    budget ran out at any smoothing level or a u-step stalled; the value
-    is still a valid upper bound then.
+    ``energy_trace`` holds the unsmoothed energies of the accepted
+    iterates, so its last entry, ``value``, is that of the best one;
+    ``converged`` is False when an iteration budget ran out at any
+    smoothing level or a u-step stalled; the value is still a valid
+    upper bound then.
     """
 
-    value: float
     u: VectorField
     v: PhaseField
     iterations: int
     energy_trace: list
     converged: bool
+
+    @property
+    def value(self) -> float:
+        return self.energy_trace[-1]
 
 
 class SolverBreakdown(RuntimeError):
@@ -195,15 +199,16 @@ def minimize_u_given_v(
     cell: CellDomain,
     g: Integrand,
     v: PhaseField,
-    boundary: VectorField,
+    start: VectorField,
     delta: float,
-    start: VectorField | None = None,
+    *,
     stats: dict | None = None,
     dual: np.ndarray | None = None,
 ) -> VectorField:
     """Approximate minimiser of the vbar^2-weighted, delta-smoothed energy.
 
-    Dirichlet values are taken from ``boundary`` on every boundary node.
+    The iteration starts from ``start``, whose values on the boundary
+    nodes are the Dirichlet data: only free nodes move.
 
     Primal-dual Newton (Chan, Golub and Mulet, SIAM J. Sci. Comput. 20,
     1999): a dual estimate q (cells, N, n), |q_c| <= 1, of r = Du/m
@@ -228,15 +233,13 @@ def minimize_u_given_v(
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
-    N = boundary.N
+    N = start.N
     op = cell.free_operator
     weights = cell_average(cell, v.values).reshape(-1) ** 2
     coeff = g.coeff_cells(cell.cell_centers_global)
     hw = cell.h**cell.n * weights * coeff
-    bmask = cell.boundary_mask
 
-    u = (start.values if start is not None else boundary.values).copy()
-    u[bmask] = boundary.values[bmask]
+    u = start.values.copy()
     E, Du, m = _smoothed_objective(cell, g, coeff, weights, delta**2, u, N)
     q = np.zeros_like(Du) if dual is None else dual
 
@@ -328,11 +331,9 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     smoothed minimisation over the delta schedule; the reported value is
     the unsmoothed energy of the best iterate.
     """
-    bdata = affine_datum(cell, xi)
     # the corner average of ones is exactly 1, so every cell weight is 1
     ones = PhaseField.ones(cell)
-    u_run = bdata.copy()
-    best_u = u_run
+    u_run = best_u = affine_datum(cell, xi)
     best_E = bulk_energy(cell, g, best_u)
     trace = [best_E]
     iters = 0
@@ -340,7 +341,7 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
     # each u-step overwrites every entry; the dual carries over
     stats = {}
     for delta in DELTA_SCHEDULE:
-        u_try = minimize_u_given_v(cell, g, ones, bdata, delta, u_run, stats=stats, dual=stats.get("dual"))
+        u_try = minimize_u_given_v(cell, g, ones, u_run, delta, stats=stats, dual=stats.get("dual"))
         iters += stats["iterations"]
         E_try = bulk_energy(cell, g, u_try)
         if E_try < best_E:
@@ -350,7 +351,6 @@ def solve_bulk_cell(cell: CellDomain, g: Integrand, xi) -> CellResult:
         if not stats["converged"]:
             converged = False
     return CellResult(
-        value=best_E,
         u=best_u,
         v=ones,
         iterations=iters,
@@ -393,8 +393,7 @@ def solve_surface_cell(cell: CellDomain, g: Integrand, zeta, *, datum_width: flo
     zeta = np.asarray(zeta, dtype=float).reshape(-1)
     amplitude = float(np.linalg.norm(zeta))
     width = 4.0 * cell.h if datum_width is None else float(datum_width)
-    bdata = jump_datum(cell, [amplitude], cell.rotation.nu, eps_width=width)
-    u_run = bdata.copy()
+    u_run = jump_datum(cell, [amplitude], cell.rotation.nu, eps_width=width)
     v_run = _seeded_phase(cell)
     best_u, best_v = u_run, v_run
     best_E = surface_energy(cell, ginf, u_run, v_run)
@@ -406,7 +405,7 @@ def solve_surface_cell(cell: CellDomain, g: Integrand, zeta, *, datum_width: flo
     stats = {}
     for delta in DELTA_SCHEDULE:
         for _ in range(AM_MAX_ITERS):
-            u_try = minimize_u_given_v(cell, ginf, v_run, bdata, delta, u_run, stats=stats, dual=stats.get("dual"))
+            u_try = minimize_u_given_v(cell, ginf, v_run, u_run, delta, stats=stats, dual=stats.get("dual"))
             converged = converged and stats["converged"]
             v_try = minimize_v_given_u(cell, ginf, u_try)
             E_try = surface_energy(cell, ginf, u_try, v_try)
@@ -423,7 +422,6 @@ def solve_surface_cell(cell: CellDomain, g: Integrand, zeta, *, datum_width: flo
             converged = False
 
     return CellResult(
-        value=best_E,
         u=VectorField(cell, best_u.values * (zeta / amplitude if amplitude > 0 else zeta)),
         v=best_v,
         iterations=sweeps,

@@ -71,9 +71,12 @@ class PropertyCheck:
     name: str
     margin: float
     tolerance: float
-    passed: bool
     provenance: str
     converged: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.margin <= self.tolerance
 
     @staticmethod
     def of(name, margin, tolerance, provenance, estimates=()):
@@ -81,7 +84,6 @@ class PropertyCheck:
             name=name,
             margin=float(margin),
             tolerance=float(tolerance),
-            passed=bool(margin <= tolerance),
             provenance=provenance,
             converged=all(res.converged for est in estimates for res in est.per_r_results),
         )

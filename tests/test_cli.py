@@ -289,6 +289,15 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
 
+    def test_finfhom_routes_agree(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("command = finfhom\nintegrand = laminate:1,2\nxi = 1,0\nr = 4,8\nh = 0.5\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["hom_of_recession", "recession_of_hom"]
+        values = [float(row[4]) for row in rows]
+        assert abs(values[0] - values[1]) <= 0.02 * max(values)
+
     def test_config_error_exit(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("command = fhom\nfoo = 1\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ import cellhom.solvers
 
 from cellhom.fields import (
     PhaseField,
+    PreconditionError,
     VectorField,
     affine_datum,
     bulk_energy,
@@ -227,9 +230,7 @@ class TestFreeNodeOperator:
         monkeypatch.setattr(cellhom.solvers, "_solve_free", capture)
         monkeypatch.setattr(cellhom.solvers, "U_MAX_ITERS", 1)
         stats = {}
-        minimize_u_given_v(
-            cell, euclid(), v, bdata, 1e-1, start=VectorField(cell, start), stats=stats, dual=q if primal else None
-        )
+        minimize_u_given_v(cell, euclid(), v, VectorField(cell, start), 1e-1, stats=stats, dual=q if primal else None)
         assert stats["iterations"] == 1 and not stats["stalled"]
         assert len(directions) == bdata.N
         return np.hstack(directions), reference_newton_direction(cell, euclid(), v, 1e-1, start, q)
@@ -598,15 +599,21 @@ class TestMinimizeUGivenV:
             assert dual.shape == (cell.num_cells, 1, 2)
             assert np.all(np.linalg.norm(dual, axis=(1, 2)) <= 1.0)
 
+    @staticmethod
+    def _perturbed_start(cell, bdata):
+        """bdata shifted by 0.123 on the free nodes; the boundary keeps the Dirichlet data."""
+        values = bdata.values + 0.123
+        values[cell.boundary_mask] = bdata.values[cell.boundary_mask]
+        return VectorField(cell, values)
+
     def test_zero_weight_keeps_start(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
         v = PhaseField(cell, np.zeros(cell.node_shape))
-        bdata = affine_datum(cell, [[1.0, 0.0]])
-        start = VectorField(cell, bdata.values + 0.123)
-        out = minimize_u_given_v(cell, euclid(), v, bdata, 1e-2, start=start)
-        interior = ~cell.boundary_mask
-        np.testing.assert_allclose(out.values[interior], start.values[interior])
-        np.testing.assert_allclose(out.values[cell.boundary_mask], bdata.values[cell.boundary_mask])
+        start = self._perturbed_start(cell, affine_datum(cell, [[1.0, 0.0]]))
+        stats = {}
+        out = minimize_u_given_v(cell, euclid(), v, start, 1e-2, stats=stats)
+        assert stats["converged"] and stats["iterations"] == 0
+        np.testing.assert_array_equal(out.values, start.values)
 
     def test_convex_exact_case(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)
@@ -640,16 +647,25 @@ class TestMinimizeUGivenV:
             recession_slope=1.0,
         )
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
-        bdata = affine_datum(cell, [[1.0, 0.0]])
-        start = VectorField(cell, bdata.values + 0.123)
+        start = self._perturbed_start(cell, affine_datum(cell, [[1.0, 0.0]]))
         stats = {}
-        out = minimize_u_given_v(cell, nan_deriv, PhaseField.ones(cell), bdata, 1e-2, start=start, stats=stats)
+        out = minimize_u_given_v(cell, nan_deriv, PhaseField.ones(cell), start, 1e-2, stats=stats)
         assert stats["iterations"] <= 2 and stats["stalled"] and not stats["converged"]
-        expected = start.values.copy()
-        expected[cell.boundary_mask] = bdata.values[cell.boundary_mask]
-        np.testing.assert_array_equal(out.values, expected)
+        np.testing.assert_array_equal(out.values, start.values)
         res = solve_bulk_cell(cell, nan_deriv, [[1.0, 0.0]])
         assert not res.converged and res.iterations <= 2 * len(cellhom.solvers.DELTA_SCHEDULE)
+
+    def test_exhausted_line_search_stalls(self, monkeypatch):
+        # an ascent direction fails every Armijo halving
+        solve = cellhom.solvers._solve_free
+        monkeypatch.setattr(cellhom.solvers, "_solve_free", lambda *args: -solve(*args))
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
+        start = self._perturbed_start(cell, affine_datum(cell, [[1.0, 0.0]]))
+        stats = {}
+        out = minimize_u_given_v(cell, euclid(), PhaseField.ones(cell), start, 1e-2, stats=stats)
+        assert stats["stalled"] and not stats["converged"] and stats["iterations"] == 1
+        np.testing.assert_array_equal(out.values, start.values)
+        assert not solve_bulk_cell(cell, laminate(1.0, 2.0), [[1.0, 0.0]]).converged
 
     def test_rejects_bad_delta(self):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
@@ -698,6 +714,13 @@ class TestMinimizeVGivenU:
         monkeypatch.setattr(cellhom.solvers, "dpbsv", lambda ab, b, **kw: (ab, np.full(b.shape, np.nan), 0))
         with pytest.raises(SolverBreakdown, match="non-finite"):
             minimize_v_given_u(cell, euclid(), u)
+
+    def test_negative_weight_is_refused(self):
+        negative = replace(euclid(), id="negative", coeff=lambda x: -np.ones(len(x)))
+        cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.5)
+        u = jump_datum(cell, [1.0], (0.0, 1.0), eps_width=1.0)
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            minimize_v_given_u(cell, negative.recession_integrand(), u)
 
     def test_improves_on_previous_phase(self, rng):
         cell = make_cell((0.0, 0.0), 4.0, (0.0, 1.0), 1, 0.25)

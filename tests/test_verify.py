@@ -26,8 +26,6 @@ def fake_estimate(quantity, argument, value):
         argument=argument,
         r_values=(8.0,),
         scaled_values=np.array([value]),
-        extrapolated=float(value),
-        cauchy_gap=0.0,
         per_r_results=[],
     )
 
