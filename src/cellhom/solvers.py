@@ -10,7 +10,9 @@ density does not change under a rotation of the components, so a
 vector jump zeta is solved as the scalar cell of amplitude |zeta|.
 
 Linear growth makes the u-problem nonsmooth, so the u-step works on a
-delta-smoothed surrogate, continued over three levels (1e-1, 1e-3, 1e-6).
+delta-smoothed surrogate, continued over decreasing levels: the bulk
+cell runs three (1e-1, 1e-3, 1e-6), the interface cell two, a loose
+first one at 1e-1 and the final one at 1e-6 (see ``INTERFACE_LEVELS``).
 Every density has the form coeff(x) * profile(|xi|), and the step is a
 damped primal-dual Newton iteration on it (Chan, Golub and Mulet): each
 iteration solves the Hessian, with a dual estimate of Du/m that starts
@@ -42,12 +44,14 @@ every smoothing level ended on its energy-decrease test and every u-step
 on its own.
 
 The solver settings are module constants, the same for every cell
-solve: ``DELTA_SCHEDULE`` (the strictly decreasing smoothing
-levels), ``AM_MAX_ITERS`` (alternating sweeps per smoothing level),
-``AM_REL_TOL`` (the relative energy decrease that ends a level),
+solve: ``DELTA_SCHEDULE`` (the strictly decreasing smoothing levels of
+the bulk cell), ``INTERFACE_LEVELS`` (the interface cell's (delta, tol)
+levels: tol is the relative energy decrease that ends the level's
+sweeps and the relative change that ends its u-steps),
+``AM_MAX_ITERS`` (alternating sweeps per smoothing level),
 ``INNER_TOL`` (the change over a full Newton step, relative to
-max(1, |objective|), that ends a u-step) and ``U_MAX_ITERS`` (Newton
-iterations per u-step).
+max(1, |objective|), that ends a bulk u-step) and ``U_MAX_ITERS``
+(Newton iterations per u-step).
 The solvers read them at call time.
 """
 
@@ -85,9 +89,11 @@ __all__ = [
 ]
 
 
-DELTA_SCHEDULE = (1e-1, 1e-3, 1e-6)  # ending at 1e-6, not 1e-5, lowers every interface value
+DELTA_SCHEDULE = (1e-1, 1e-3, 1e-6)
+# the loose 1e-1 level moves a jump to a cheap cell (without it random 1D
+# jumps stay trapped); ending at 1e-6, not 1e-5, lowers every value
+INTERFACE_LEVELS = ((1e-1, 1e-3), (1e-6, 1e-7))
 AM_MAX_ITERS = 80
-AM_REL_TOL = 1e-7
 INNER_TOL = 1e-7
 U_MAX_ITERS = 1200
 
@@ -204,6 +210,7 @@ def minimize_u_given_v(
     *,
     stats: dict | None = None,
     dual: np.ndarray | None = None,
+    tol: float | None = None,
 ) -> VectorField:
     """Approximate minimiser of the vbar^2-weighted, delta-smoothed energy.
 
@@ -225,14 +232,16 @@ def minimize_u_given_v(
     the weight vanishes and makes the flat-region tie-break deterministic
     (the previous iterate survives there).
 
-    Stops when a full step changes the objective by at most ``INNER_TOL``
-    times max(1, |objective|) (converged), and on a non-finite system or
-    a failed line search (stalled, in ``stats``); ``stats["iterations"]``
-    counts the Hessian solves and ``stats["dual"]`` holds the final q.
-    Only accepted iterates are returned.
+    Stops when a full step changes the objective by at most ``tol``
+    (default ``INNER_TOL``) times max(1, |objective|) (converged), and on
+    a non-finite system or a failed line search (stalled, in ``stats``);
+    ``stats["iterations"]`` counts the Hessian solves and
+    ``stats["dual"]`` holds the final q.  Only accepted iterates are
+    returned.
     """
     if delta <= 0:
         raise InputDomainError("delta must be positive")
+    tol = INNER_TOL if tol is None else tol
     N = start.N
     op = cell.free_operator
     weights = cell_average(cell, v.values).reshape(-1) ** 2
@@ -267,7 +276,7 @@ def minimize_u_given_v(
             step = 0.5**halvings
             u_try = u + step * d_full
             E_try, Du_try, m_try = _smoothed_objective(cell, g, coeff, weights, delta**2, u_try, N)
-            converged = halvings == 0 and abs(E - E_try) <= INNER_TOL * max(1.0, abs(E))
+            converged = halvings == 0 and abs(E - E_try) <= tol * max(1.0, abs(E))
             if E_try <= E + 1e-4 * step * slope or (converged and E_try <= E):
                 dxi = Du_try - Du
                 dq = (dxi - q * _sum_cells(r * dxi)[:, None, None]) / m[:, None, None] - (q - r)
@@ -403,9 +412,9 @@ def solve_surface_cell(cell: CellDomain, g: Integrand, zeta, *, datum_width: flo
     E_prev = best_E
     # each u-step overwrites every entry; the dual carries over
     stats = {}
-    for delta in DELTA_SCHEDULE:
+    for delta, tol in INTERFACE_LEVELS:
         for _ in range(AM_MAX_ITERS):
-            u_try = minimize_u_given_v(cell, ginf, v_run, u_run, delta, stats=stats, dual=stats.get("dual"))
+            u_try = minimize_u_given_v(cell, ginf, v_run, u_run, delta, stats=stats, dual=stats.get("dual"), tol=tol)
             converged = converged and stats["converged"]
             v_try = minimize_v_given_u(cell, ginf, u_try)
             E_try = surface_energy(cell, ginf, u_try, v_try)
@@ -415,7 +424,7 @@ def solve_surface_cell(cell: CellDomain, g: Integrand, zeta, *, datum_width: flo
                 trace.append(E_try)
             drop = E_prev - E_try
             u_run, v_run, E_prev = u_try, v_try, E_try
-            if drop <= AM_REL_TOL * max(1.0, abs(E_try)):
+            if drop <= tol * max(1.0, abs(E_try)):
                 break
         else:
             # this level ran out of sweeps; later levels do not undo that
